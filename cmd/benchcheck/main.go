@@ -33,7 +33,8 @@ type benchFile struct {
 	Current struct {
 		Benchmarks map[string]map[string]float64 `json:"benchmarks"`
 	} `json:"current"`
-	// Scaling is the TickWorkers scaling curve recorded by scripts/bench.sh.
+	// Scaling is the Fig 8 sweep's wall-clock and runs/sec at -parallel
+	// 1..GOMAXPROCS, recorded by scripts/bench.sh.
 	// It is forwarded verbatim into the delta report and never judged for
 	// regressions: the curve is informational trajectory data. Like any
 	// other unknown or future section, its absence — or additional keys
@@ -65,7 +66,7 @@ type Report struct {
 	Deltas        []Delta  `json:"deltas"`
 	OnlyBaseline  []string `json:"only_in_baseline,omitempty"`
 	OnlyCurrent   []string `json:"only_in_current,omitempty"`
-	// Scaling forwards the bench file's TickWorkers scaling section
+	// Scaling forwards the bench file's -parallel scaling section
 	// (non-gating, informational) into the published artifact.
 	Scaling json.RawMessage `json:"scaling,omitempty"`
 }
@@ -131,7 +132,7 @@ func (r Report) print() {
 		fmt.Printf("in baseline only (renamed or removed): %v\n", r.OnlyBaseline)
 	}
 	if len(r.Scaling) > 0 {
-		fmt.Println("scaling section present (TickWorkers curve) — forwarded to the report, not gated")
+		fmt.Println("scaling section present (-parallel curve) — forwarded to the report, not gated")
 	}
 	if r.Mode == "smoke" {
 		fmt.Println("note: smoke mode (-benchtime=1x) — microbenchmark timings are noise; only the Fig 8 number is a full sweep")

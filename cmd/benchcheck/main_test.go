@@ -101,7 +101,7 @@ func TestUnknownSectionsTolerated(t *testing.T) {
 		"future_section": {"anything": [1, 2, 3]},
 		"baseline": {"benchmarks": {"BenchmarkX": {"ns_per_op": 100}}},
 		"current":  {"benchmarks": {"BenchmarkX": {"ns_per_op": 90}}},
-		"scaling": {"points": [{"tick_workers": 1, "fig8_wall_s": 3.0}]}
+		"scaling": {"points": [{"parallel": 1, "fig8_wall_s": 3.0}]}
 	}`), &f); err != nil {
 		t.Fatal(err)
 	}

@@ -83,10 +83,8 @@ func main() {
 	traceCap := flag.Int("trace-cap", 1<<20, "event ring-buffer capacity for -trace-events (oldest dropped)")
 	progress := flag.Bool("progress", false, "print live simulation progress to stderr")
 	statusAddr := flag.String("status-addr", "", "serve the live status API on this address: /progress (JSON run snapshot), /debug/pprof")
-	pprofAddr := flag.String("pprof", "", "deprecated alias of -status-addr (the unified server also mounts /debug/pprof)")
 	specPath := flag.String("spec", "", "load the run spec from this JSON file instead of the knob flags (\"-\" reads stdin)")
 	resultJSON := flag.String("result-json", "", "write the run's spec, content hash, and summary (a runner cache entry) to this file")
-	tickWorkers := flag.Int("tick-workers", 0, "tick independent DRAM channels on this many parallel workers (0/1 = serial; results are bit-identical; useful only with -channels > 1)")
 	faults := flag.String("faults", "", "fault-injection campaign, e.g. n=16,kind=chip,seed=7,span=4096,scrub=100 (see README \"Reliability & fault injection\")")
 	listSchemes := flag.Bool("list-schemes", false, "print every registered scheme with its one-line description and exit")
 	flag.Parse()
@@ -99,9 +97,6 @@ func main() {
 		return
 	}
 
-	if *statusAddr == "" {
-		*statusAddr = *pprofAddr
-	}
 	var live *liveProgress
 	if *statusAddr != "" {
 		live = &liveProgress{}
@@ -142,9 +137,6 @@ func main() {
 			os.Exit(1)
 		}
 		sp.Faults = &fc
-	}
-	if *tickWorkers > 0 {
-		sp.TickWorkers = *tickWorkers
 	}
 	hash, err := sp.Hash()
 	if err != nil {

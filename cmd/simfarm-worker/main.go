@@ -41,7 +41,6 @@ func main() {
 	poll := flag.Duration("poll", 10*time.Second, "long-poll window per lease request")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-simulation wall-clock deadline, pushed back as a timeout-class failure (0 = none)")
 	exitIdle := flag.Duration("exit-idle", 0, "exit cleanly after this long without being granted a job (0 = run until interrupted)")
-	tickWorkers := flag.Int("tick-workers", 0, "channel-parallel DRAM ticking for leased runs whose specs leave it unset (bit-identical results)")
 	maxMemMB := flag.Int("max-mem-mb", 0, "advertised simulation memory budget in MiB, shown on the coordinator's /progress (0 = unknown)")
 	caFile := flag.String("ca", "", "CA bundle (PEM) pinning the coordinator's TLS certificate; implies https")
 	certFile := flag.String("cert", "", "client TLS certificate (PEM) for mutual TLS; requires -key")
@@ -75,14 +74,13 @@ func main() {
 		os.Exit(exitCode(err))
 	}
 	n, err := farm.Work(ctx, farm.WorkerOptions{
-		Client:      client,
-		Name:        *name,
-		CacheDir:    *cacheDir,
-		JobTimeout:  *jobTimeout,
-		PollWait:    *poll,
-		IdleExit:    *exitIdle,
-		TickWorkers: *tickWorkers,
-		MaxMemMB:    *maxMemMB,
+		Client:     client,
+		Name:       *name,
+		CacheDir:   *cacheDir,
+		JobTimeout: *jobTimeout,
+		PollWait:   *poll,
+		IdleExit:   *exitIdle,
+		MaxMemMB:   *maxMemMB,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "[%s] %s\n", *name, fmt.Sprintf(format, args...))
 		},

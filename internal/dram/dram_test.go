@@ -259,6 +259,27 @@ func TestBadWatermarksPanic(t *testing.T) {
 	New(cfg)
 }
 
+// TestTickWorkersStub pins the deprecated TickWorkers/Close stubs: 0 and
+// 1 build an ordinary serial memory, anything larger panics like the other
+// bad configs, and Close is a no-op that may be called at any time.
+func TestTickWorkersStub(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.TickWorkers = 1
+	m := New(cfg)
+	m.Close()
+	m.Close()
+	m.Enqueue(read(addrmap.Location{Row: 1}))
+	runUntil(t, m, 1, 50000)
+
+	cfg.TickWorkers = 2
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on TickWorkers > 1")
+		}
+	}()
+	New(cfg)
+}
+
 func TestMultiChannelIndependence(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Geom.Channels = 2

@@ -32,13 +32,13 @@ func ablationBenches(o Options) []workload.Spec {
 // spec order. The core count follows o.Cores (paper default 4), so every
 // ablation works at other core counts.
 func geoNorm(o Options, specs []workload.Spec, mk func(spec workload.Spec) runspec.Spec) (float64, []*sim.Summary, error) {
-	var jobs []job
+	var jobs []runspec.Named
 	for _, spec := range specs {
-		jobs = append(jobs, job{key: "nonsecure/" + spec.Name, spec: runspec.Spec{
+		jobs = append(jobs, runspec.Named{Key: "nonsecure/" + spec.Name, Spec: runspec.Spec{
 			Scheme: "nonsecure", Benchmark: spec.Name, Cores: o.cores(4), Channels: 1,
 			OpsPerCore: o.ops(), Seed: o.seed(),
 		}})
-		jobs = append(jobs, job{key: "cfg/" + spec.Name, spec: mk(spec)})
+		jobs = append(jobs, runspec.Named{Key: "cfg/" + spec.Name, Spec: mk(spec)})
 	}
 	raw, err := runBatch(o, jobs)
 	if err != nil {

@@ -40,15 +40,6 @@ type Options struct {
 	Seed int64
 	// Parallel is the number of concurrent simulations (default: CPUs).
 	Parallel int
-	// TickWorkers requests channel-parallel DRAM ticking inside every run
-	// (sim.Config.TickWorkers). Results are bit-identical at any value;
-	// the runner clamps Parallel so Parallel × TickWorkers stays within
-	// the machine. Zero keeps serial ticking.
-	TickWorkers int
-	// BatchTraces groups jobs sharing a (benchmark, seed, cores, ops)
-	// trace and generates that trace once per group, handing each job an
-	// immutable shared snapshot (runner.Options.BatchTraces).
-	BatchTraces bool
 	// W receives the printed table (default os.Stdout).
 	W io.Writer
 	// CacheDir, when non-empty, enables the content-addressed result
@@ -240,29 +231,22 @@ func allBenchmarks() []string {
 	return names
 }
 
-// job is one simulation in a batch.
-type job struct {
-	key  string
-	spec runspec.Spec
-}
-
 // runBatch executes jobs through the runner: a bounded worker pool with
 // cache-aware scheduling (Options.CacheDir) and aggregated errors. When
 // o.Obs enables artifacts, each simulated job runs with its own observer
 // and writes its files before the job is counted done; cache hits skip the
 // simulation and therefore produce no new artifacts.
-func runBatch(o Options, jobs []job) (map[string]*sim.Summary, error) {
+func runBatch(o Options, jobs []runspec.Named) (map[string]*sim.Summary, error) {
 	if o.FarmAddr != "" {
 		return runBatchFarm(o, jobs)
 	}
 	ropts := runner.Options{
-		Parallel:    o.Parallel,
-		BatchTraces: o.BatchTraces,
-		KeepGoing:   o.KeepGoing,
-		JobTimeout:  o.JobTimeout,
-		Retries:     o.Retries,
-		Stats:       o.RunnerStats,
-		Telemetry:   o.Telemetry,
+		Parallel:   o.Parallel,
+		KeepGoing:  o.KeepGoing,
+		JobTimeout: o.JobTimeout,
+		Retries:    o.Retries,
+		Stats:      o.RunnerStats,
+		Telemetry:  o.Telemetry,
 	}
 	if o.CacheDir != "" {
 		ropts.Cache = runner.NewCache(o.CacheDir)
@@ -278,20 +262,13 @@ func runBatch(o Options, jobs []job) (map[string]*sim.Summary, error) {
 			o.Obs.OnRunDone(done, total, j.Key, cached)
 		}
 	}
-	rjobs := make([]runner.Job, len(jobs))
-	for i, j := range jobs {
-		if o.TickWorkers > 0 && j.spec.TickWorkers == 0 {
-			j.spec.TickWorkers = o.TickWorkers
-		}
-		rjobs[i] = runner.Job{Key: j.key, Spec: j.spec}
-	}
 	ctx := o.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	// RunnerStats is threaded through runner.Options.Stats, so the runner
 	// itself keeps it live-updated as jobs finish; no end-of-batch fold-in.
-	results, _, err := runner.Run(ctx, ropts, rjobs)
+	results, _, err := runner.Run(ctx, ropts, jobs)
 	return results, err
 }
 
@@ -299,15 +276,9 @@ func runBatch(o Options, jobs []job) (map[string]*sim.Summary, error) {
 // in-process runner. Specs travel by content hash, so the farm's corpus
 // serves previously computed runs without dispatch and results are
 // bit-identical to a local run of the same specs.
-func runBatchFarm(o Options, jobs []job) (map[string]*sim.Summary, error) {
+func runBatchFarm(o Options, jobs []runspec.Named) (map[string]*sim.Summary, error) {
 	if o.Obs.artifactsEnabled() {
 		return nil, fmt.Errorf("experiments: -metrics/-timeseries/-trace-events artifacts are produced by the simulating process and cannot be combined with a farm run")
-	}
-	named := make([]runspec.Named, len(jobs))
-	for i, j := range jobs {
-		// TickWorkers stays local: it is the *worker's* execution knob, and
-		// the hash is invariant to it anyway.
-		named[i] = runspec.Named{Key: j.key, Spec: j.spec}
 	}
 	ctx := o.Ctx
 	if ctx == nil {
@@ -324,7 +295,7 @@ func runBatchFarm(o Options, jobs []job) (map[string]*sim.Summary, error) {
 	if o.Obs.OnRunDone != nil {
 		onDone = o.Obs.OnRunDone
 	}
-	return client.RunSweep(ctx, named, onDone)
+	return client.RunSweep(ctx, jobs, onDone)
 }
 
 // geoMeanOver computes the geometric mean of metric over the given

@@ -278,7 +278,7 @@ func TestInterruptedSweepResumes(t *testing.T) {
 		Scheme: "vault", Benchmark: "pr", Cores: 1, Channels: 1,
 		OpsPerCore: partial.ops(), Seed: partial.seed(), DenseAlloc: true,
 	}
-	if _, err := runBatch(partial, []job{{key: "seed", spec: small}}); err != nil {
+	if _, err := runBatch(partial, []runspec.Named{{Key: "seed", Spec: small}}); err != nil {
 		t.Fatal(err)
 	}
 	done := partialStats.Simulated

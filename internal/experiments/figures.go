@@ -50,13 +50,13 @@ func runNormalized(o Options, schemes []string, benchDefaults []string, cores, c
 		channels = o.Channels
 	}
 	specs := o.benchList(benchDefaults)
-	var jobs []job
+	var jobs []runspec.Named
 	all := append([]string{"nonsecure"}, schemes...)
 	for _, spec := range specs {
 		for _, s := range all {
-			jobs = append(jobs, job{
-				key: s + "/" + spec.Name,
-				spec: runspec.Spec{
+			jobs = append(jobs, runspec.Named{
+				Key: s + "/" + spec.Name,
+				Spec: runspec.Spec{
 					Scheme: s, Benchmark: spec.Name, Cores: cores, Channels: channels,
 					OpsPerCore: o.ops(), Seed: o.seed(),
 				},
@@ -337,12 +337,12 @@ func Fig13(o Options) ([]Fig13Row, error) {
 	fmt.Fprintf(w, "%-10s %8s %10s %10s %10s\n", "scheme", "KB/core", "time", "energy", "edp")
 	specs := o.benchList(workload.TopMemoryIntensive())
 	for _, kb := range []int{16, 32, 64} {
-		var jobs []job
+		var jobs []runspec.Named
 		for _, spec := range specs {
 			for _, s := range []string{"nonsecure", "synergy", "itesp"} {
-				jobs = append(jobs, job{
-					key: s + "/" + spec.Name,
-					spec: runspec.Spec{
+				jobs = append(jobs, runspec.Named{
+					Key: s + "/" + spec.Name,
+					Spec: runspec.Spec{
 						Scheme: s, Benchmark: spec.Name, Cores: 4, Channels: 1,
 						OpsPerCore: o.ops(), Seed: o.seed(), MetaKBPerCore: kb,
 					},
@@ -390,14 +390,14 @@ type Fig15Row struct {
 // parities per leaf (Section III-E) is used, as in the paper's discussion.
 func Fig15(o Options) ([]Fig15Row, error) {
 	specs := o.benchList(workload.TopMemoryIntensive())
-	var jobs []job
+	var jobs []runspec.Named
 	for _, spec := range specs {
-		jobs = append(jobs, job{key: "synergy/" + spec.Name, spec: runspec.Spec{
+		jobs = append(jobs, runspec.Named{Key: "synergy/" + spec.Name, Spec: runspec.Spec{
 			Scheme: "synergy", Benchmark: spec.Name, Cores: 4, Channels: 1,
 			OpsPerCore: o.ops(), Seed: o.seed(), Policy: "column",
 		}})
 		for _, pol := range []string{"column", "rank", "rbh2", "rbh4"} {
-			jobs = append(jobs, job{key: pol + "/" + spec.Name, spec: runspec.Spec{
+			jobs = append(jobs, runspec.Named{Key: pol + "/" + spec.Name, Spec: runspec.Spec{
 				Scheme: "itesp4p", Benchmark: spec.Name, Cores: 4, Channels: 1,
 				OpsPerCore: o.ops(), Seed: o.seed(), Policy: pol,
 			}})

@@ -25,13 +25,13 @@ type Fig2Row struct {
 // multi-programmed shared-tree model versus a single isolated program.
 func Fig2(o Options) ([]Fig2Row, error) {
 	specs := o.benchList(workload.TopMemoryIntensive())
-	var jobs []job
+	var jobs []runspec.Named
 	for _, spec := range specs {
-		jobs = append(jobs, job{key: "large/" + spec.Name, spec: runspec.Spec{
+		jobs = append(jobs, runspec.Named{Key: "large/" + spec.Name, Spec: runspec.Spec{
 			Scheme: "vault", Benchmark: spec.Name, Cores: 4, Channels: 1,
 			OpsPerCore: o.ops(), Seed: o.seed(),
 		}})
-		jobs = append(jobs, job{key: "small/" + spec.Name, spec: runspec.Spec{
+		jobs = append(jobs, runspec.Named{Key: "small/" + spec.Name, Spec: runspec.Spec{
 			Scheme: "vault", Benchmark: spec.Name, Cores: 1, Channels: 1,
 			OpsPerCore: o.ops(), Seed: o.seed(), DenseAlloc: true,
 		}})
@@ -81,13 +81,13 @@ type Fig3Row struct {
 // G three+ tree levels, H MAC + three+ tree levels.
 func Fig3(o Options) ([]Fig3Row, error) {
 	specs := o.benchList(workload.TopMemoryIntensive())
-	var jobs []job
+	var jobs []runspec.Named
 	for _, spec := range specs {
-		jobs = append(jobs, job{key: "large/" + spec.Name, spec: runspec.Spec{
+		jobs = append(jobs, runspec.Named{Key: "large/" + spec.Name, Spec: runspec.Spec{
 			Scheme: "vault", Benchmark: spec.Name, Cores: 4, Channels: 1,
 			OpsPerCore: o.ops(), Seed: o.seed(),
 		}})
-		jobs = append(jobs, job{key: "small/" + spec.Name, spec: runspec.Spec{
+		jobs = append(jobs, runspec.Named{Key: "small/" + spec.Name, Spec: runspec.Spec{
 			Scheme: "vault", Benchmark: spec.Name, Cores: 1, Channels: 1,
 			OpsPerCore: o.ops(), Seed: o.seed(), DenseAlloc: true,
 		}})

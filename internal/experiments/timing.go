@@ -77,7 +77,7 @@ func Table2Timing(o Options) (*Table2TimingResult, error) {
 		scrub = 2
 	}
 
-	var jobs []job
+	var jobs []runspec.Named
 	for _, scheme := range []string{"synergy", "itesp"} {
 		for i := 0; i < t2Seeds; i++ {
 			fc := fault.Config{
@@ -86,9 +86,9 @@ func Table2Timing(o Options) (*Table2TimingResult, error) {
 				StartCycle: start, Interval: interval,
 				SpanBlocks: t2Span, ScrubInterval: scrub,
 			}
-			jobs = append(jobs, job{
-				key: fmt.Sprintf("t2timing/%s/seed%d", scheme, i),
-				spec: runspec.Spec{
+			jobs = append(jobs, runspec.Named{
+				Key: fmt.Sprintf("t2timing/%s/seed%d", scheme, i),
+				Spec: runspec.Spec{
 					Scheme:     scheme,
 					Benchmark:  bench.Name,
 					Cores:      cores,

@@ -2,8 +2,6 @@ package farm
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"sort"
@@ -209,28 +207,6 @@ func (c *Coordinator) notify() {
 	c.wake = make(chan struct{})
 }
 
-// SweepID names a job set by content: the hex SHA-256 over the sorted spec
-// hashes — the same construction as the runner's SweepHash, so a sweep
-// submitted to a farm and the identical sweep run in-process share one
-// identity. Submission order does not matter.
-func SweepID(jobs []runspec.Named) (string, error) {
-	hashes := make([]string, 0, len(jobs))
-	for _, j := range jobs {
-		h, err := j.Spec.Hash()
-		if err != nil {
-			return "", fmt.Errorf("farm: job %s: %w", j.Key, err)
-		}
-		hashes = append(hashes, h)
-	}
-	sort.Strings(hashes)
-	sum := sha256.New()
-	for _, h := range hashes {
-		sum.Write([]byte(h))
-		sum.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(sum.Sum(nil)), nil
-}
-
 // Submit registers a sweep and returns its content-derived ID. Submission
 // is idempotent: re-submitting a job list (in any order) returns the same
 // sweep in whatever state it has reached. Jobs whose hash already has a
@@ -241,7 +217,7 @@ func (c *Coordinator) Submit(jobs []runspec.Named) (*api.SubmitResponse, error) 
 	if err := runspec.ValidateBatch(jobs); err != nil {
 		return nil, &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
 	}
-	id, err := SweepID(jobs)
+	id, err := runspec.SweepID(jobs)
 	if err != nil {
 		return nil, &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
 	}
@@ -596,7 +572,6 @@ func (c *Coordinator) RegisterWorker(req api.RegisterRequest) (*api.RegisterResp
 	}
 	w.Version = req.Version
 	w.MaxMemMB = req.MaxMemMB
-	w.TickWorkers = req.TickWorkers
 	w.LastSeenMS = now
 	return &api.RegisterResponse{Workers: len(c.workers)}, nil
 }

@@ -8,12 +8,12 @@
 //
 // The design reuses, rather than re-invents, the existing pieces:
 //
-//   - Identity is the runspec content hash everywhere. A sweep's ID is a
-//     hash over its jobs' spec hashes (the runner's SweepHash
-//     construction), so submission is idempotent and a farm sweep and the
-//     identical in-process sweep name the same work. Hashes fold
-//     execution-only knobs (runspec.Spec.Normalized), so the corpus is
-//     shareable across machines with different worker/core counts.
+//   - Identity is the runspec content hash everywhere. A sweep's ID is
+//     runspec.SweepID, a hash over its jobs' spec hashes — the same ID the
+//     runner names its sweep journals by — so submission is idempotent and
+//     a farm sweep and the identical in-process sweep name the same work.
+//     Specs carry no execution knobs, so the corpus is shareable across
+//     machines with different worker/core counts.
 //   - The shared result corpus is a runner.Cache: the same on-disk layout
 //     as a local .runcache, fed by every worker's pushed results. A
 //     submitted job whose hash is already in the corpus is satisfied

@@ -154,14 +154,18 @@ func TestE2EFarmMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestE2EWorkerCountInvariantHash: a spec requesting channel-parallel
-// ticking hashes identically to the same spec without it, so farm results
-// are shared across heterogeneous workers — the cache-key invariance the
-// protocol depends on.
+// TestE2EWorkerCountInvariantHash: a spec recorded by a worker that still
+// ran with the removed tick_workers execution knob — as an old farm
+// journal or corpus entry holds it, read leniently — hashes identically to
+// the same spec without it, so results stay shared across worker builds:
+// the cache-key invariance the protocol depends on.
 func TestE2EWorkerCountInvariantHash(t *testing.T) {
 	base := runspec.Spec{Scheme: "itesp", Benchmark: "mcf", Cores: 2, Channels: 2, OpsPerCore: 2000}
-	tuned := base
-	tuned.TickWorkers = 4
+	var tuned runspec.Spec
+	old := `{"scheme":"itesp","benchmark":"mcf","cores":2,"channels":2,"ops_per_core":2000,"tick_workers":4}`
+	if err := json.Unmarshal([]byte(old), &tuned); err != nil {
+		t.Fatal(err)
+	}
 	h1, err := base.Hash()
 	if err != nil {
 		t.Fatal(err)
@@ -171,6 +175,6 @@ func TestE2EWorkerCountInvariantHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	if h1 != h2 {
-		t.Fatalf("TickWorkers must not enter the content hash: %s vs %s", h1, h2)
+		t.Fatalf("tick_workers must not enter the content hash: %s vs %s", h1, h2)
 	}
 }

@@ -3,9 +3,11 @@ package farm
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,17 +165,32 @@ func TestWorkerRegistry(t *testing.T) {
 	if _, err := cl.Register(ctx, api.RegisterRequest{}); errCode(t, err) != api.CodeBadRequest {
 		t.Fatal("nameless registration must be rejected")
 	}
-	reg, err := cl.Register(ctx, api.RegisterRequest{Name: "w1", Version: api.Version, MaxMemMB: 4096, TickWorkers: 4})
+	reg, err := cl.Register(ctx, api.RegisterRequest{Name: "w1", Version: api.Version, MaxMemMB: 4096})
 	if err != nil || reg.Workers != 1 {
 		t.Fatalf("register: %+v %v", reg, err)
 	}
 
 	ws := co.Workers()
-	if len(ws) != 1 || ws[0].Name != "w1" || ws[0].MaxMemMB != 4096 || ws[0].TickWorkers != 4 || !ws[0].Live {
+	if len(ws) != 1 || ws[0].Name != "w1" || ws[0].MaxMemMB != 4096 || !ws[0].Live {
 		t.Fatalf("workers: %+v", ws)
 	}
 	if s := co.Snapshot(); s.Workers != 1 {
 		t.Fatalf("stats: %+v", s)
+	}
+
+	// An old worker that still advertises the removed tick_workers
+	// capability is rejected, and the error names the field.
+	srv := httptest.NewServer(Handler(co))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+api.PathWorkers, "application/json",
+		strings.NewReader(`{"name":"old","tick_workers":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "tick_workers") {
+		t.Fatalf("old registration: %d %s", resp.StatusCode, body)
 	}
 
 	// Past 3×LeaseTTL of silence the worker reads as dead...

@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/sweep"
 	"repro/internal/runspec"
 	"repro/internal/sim"
 )
@@ -23,6 +26,16 @@ func stubSim(t *testing.T, fn func(ctx context.Context, cfg sim.Config) (*sim.Re
 	old := runSim
 	runSim = fn
 	t.Cleanup(func() { runSim = old })
+}
+
+// mustSweepID returns the sweep identity the runner names its journals by.
+func mustSweepID(t *testing.T, jobs []Job) string {
+	t.Helper()
+	id, err := runspec.SweepID(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
 }
 
 // stubJob builds a valid spec whose seed selects the stub's behavior.
@@ -232,7 +245,7 @@ func TestChaosMidSweepCancelResume(t *testing.T) {
 	}
 
 	// The manifest must already record every terminal state.
-	path := ManifestPath(cache.Dir(), jobs)
+	path := ManifestPath(cache.Dir(), mustSweepID(t, jobs))
 	recs, rerr := ReadManifest(path)
 	if rerr != nil {
 		t.Fatal(rerr)
@@ -295,7 +308,7 @@ func TestChaosManifestStates(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error")
 	}
-	recs, rerr := ReadManifest(ManifestPath(cache.Dir(), jobs))
+	recs, rerr := ReadManifest(ManifestPath(cache.Dir(), mustSweepID(t, jobs)))
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
@@ -321,7 +334,7 @@ func TestChaosManifestStates(t *testing.T) {
 func TestManifestTornLineTolerated(t *testing.T) {
 	cache := NewCache(t.TempDir())
 	jobs := []Job{stubJob("a", seedOK)}
-	m, err := OpenManifest(cache.Dir(), jobs)
+	m, err := OpenManifest(cache.Dir(), mustSweepID(t, jobs), len(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,6 +379,34 @@ func TestStatsRegisterObs(t *testing.T) {
 	for name, v := range want {
 		if got[name] != v {
 			t.Errorf("%s = %v, want %v", name, got[name], v)
+		}
+	}
+}
+
+// TestUnhashableSweepSkipsJournals: a job set with an unhashable spec has
+// no sweep identity, so Run writes no manifest or telemetry journal (two
+// such sets must never share one) while the bad job still fails with its
+// spec error and the rest of the sweep runs.
+func TestUnhashableSweepSkipsJournals(t *testing.T) {
+	stubSim(t, func(_ context.Context, cfg sim.Config) (*sim.Result, *sim.Summary, error) {
+		return stubOK(cfg)
+	})
+	dir := t.TempDir()
+	bad := stubJob("bad", seedOK+1)
+	bad.Spec.DataFrac = math.NaN()
+	jobs := []Job{stubJob("ok", seedOK), bad}
+	res, st, err := Run(context.Background(), Options{
+		Parallel: 1, Cache: NewCache(dir), KeepGoing: true, Telemetry: sweep.New(),
+	}, jobs)
+	if err == nil || !strings.Contains(err.Error(), "bad:") {
+		t.Fatalf("want the bad job's spec error, got %v", err)
+	}
+	if res["ok"] == nil || st.Simulated != 1 || st.Failures != 1 {
+		t.Fatalf("stats: %s (results %v)", st, res)
+	}
+	for _, pat := range []string{"sweep-*.manifest", "sweep-*.telemetry.jsonl"} {
+		if m, _ := filepath.Glob(filepath.Join(dir, pat)); len(m) != 0 {
+			t.Fatalf("unhashable sweep wrote journal %v", m)
 		}
 	}
 }

@@ -1,10 +1,13 @@
 // Package runner schedules batches of declarative run specs over a bounded
 // worker pool, with a content-addressed result cache, fault-tolerant
-// execution, and aggregated error reporting. Sweeps built on it are
+// execution, and aggregated error reporting. The pool runs independent
+// simulations side by side; that is the simulator's one parallelism axis,
+// and each simulation itself is single-threaded. Sweeps built on it are
 // resumable for free: every completed job leaves a cache entry under its
 // spec hash, so re-invoking an interrupted sweep re-simulates only the
-// missing hashes; a crash-safe JSONL manifest beside the cache records each
-// job's terminal state for post-mortems.
+// missing hashes; a crash-safe JSONL manifest beside the cache, named by
+// the job set's runspec.SweepID, records each job's terminal state for
+// post-mortems.
 //
 // Failure handling follows one taxonomy end to end: recovered panics and
 // per-job deadline expiries are retryable (Options.Retries, deterministic

@@ -2,14 +2,11 @@ package runner
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // Manifest terminal states, one per ManifestRecord.State.
@@ -41,38 +38,18 @@ type ManifestRecord struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// SweepHash names a job set: the hex SHA-256 over the sorted spec hashes.
-// It is order-independent, so the same sweep resumed (or re-sharded) maps
-// to the same manifest file. Jobs whose specs cannot hash contribute a
-// fixed placeholder — they fail at run time with a spec error anyway.
-func SweepHash(jobs []Job) string {
-	hashes := make([]string, 0, len(jobs))
-	for _, j := range jobs {
-		h, err := j.Spec.Hash()
-		if err != nil {
-			h = "unhashable"
-		}
-		hashes = append(hashes, h)
-	}
-	sort.Strings(hashes)
-	sum := sha256.New()
-	for _, h := range hashes {
-		sum.Write([]byte(h))
-		sum.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(sum.Sum(nil))
+// ManifestPath returns the manifest file under dir for the sweep whose
+// runspec.SweepID is sweepID.
+func ManifestPath(dir, sweepID string) string {
+	return filepath.Join(dir, "sweep-"+sweepID+".manifest")
 }
 
-// ManifestPath returns the manifest file for a job set under dir.
-func ManifestPath(dir string, jobs []Job) string {
-	return filepath.Join(dir, "sweep-"+SweepHash(jobs)+".manifest")
-}
-
-// TelemetryPath returns the job-lifecycle telemetry journal for a job set
-// under dir, written beside the manifest when Options.Telemetry and a
-// cache are both configured (append-only JSONL; see sweep.Replay).
-func TelemetryPath(dir string, jobs []Job) string {
-	return filepath.Join(dir, "sweep-"+SweepHash(jobs)+".telemetry.jsonl")
+// TelemetryPath returns the job-lifecycle telemetry journal under dir for
+// the sweep whose runspec.SweepID is sweepID, written beside the manifest
+// when Options.Telemetry and a cache are both configured (append-only
+// JSONL; see sweep.Replay).
+func TelemetryPath(dir, sweepID string) string {
+	return filepath.Join(dir, "sweep-"+sweepID+".telemetry.jsonl")
 }
 
 // outcomeState classifies a terminal outcome into the manifest state
@@ -107,19 +84,20 @@ type Manifest struct {
 }
 
 // OpenManifest opens (creating dir and file as needed) the manifest for
-// this job set and appends the sweep header. Re-running a sweep appends a
-// fresh header plus its records to the same file, preserving history.
-func OpenManifest(dir string, jobs []Job) (*Manifest, error) {
+// the sweep sweepID of n jobs and appends the sweep header. Re-running a
+// sweep appends a fresh header plus its records to the same file,
+// preserving history.
+func OpenManifest(dir, sweepID string, n int) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	path := ManifestPath(dir, jobs)
+	path := ManifestPath(dir, sweepID)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	m := &Manifest{path: path, f: f}
-	if err := m.append(ManifestRecord{Kind: "sweep", Sweep: SweepHash(jobs), Jobs: len(jobs)}); err != nil {
+	if err := m.append(ManifestRecord{Kind: "sweep", Sweep: sweepID, Jobs: n}); err != nil {
 		f.Close()
 		return nil, err
 	}

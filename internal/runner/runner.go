@@ -19,10 +19,7 @@ import (
 // Job is one named simulation in a batch. Key is the caller's display /
 // result-map key (e.g. "itesp/mcf"); the cache is addressed by the spec's
 // content hash, never by Key.
-type Job struct {
-	Key  string
-	Spec runspec.Spec
-}
+type Job = runspec.Named
 
 // PanicError is a panic recovered inside a worker and converted into an
 // ordinary job failure, so one bad spec cannot kill a multi-thousand-job
@@ -51,18 +48,9 @@ var ErrHeartbeatCanceled = errors.New("runner: attempt abandoned on heartbeat fa
 // Options configure a batch run.
 type Options struct {
 	// Parallel bounds concurrent simulations (default: GOMAXPROCS-1,
-	// min 1). When jobs request channel-parallel ticking (TickWorkers in
-	// their specs), Run additionally clamps the worker count so that
-	// Parallel × max(TickWorkers) never exceeds GOMAXPROCS: sweep-level
-	// and run-level parallelism compose instead of oversubscribing the
-	// machine.
+	// min 1). Runs are independent, so this is the simulator's one
+	// parallelism axis; each run ticks its DRAM channels serially.
 	Parallel int
-	// BatchTraces groups jobs sharing a (benchmark, seed, cores, ops)
-	// trace key, generates each group's trace once, and hands every job
-	// in the group a fresh cursor over the same immutable records (see
-	// batch.go). Results and cache entries are unchanged; only redundant
-	// generator work is removed. LLC-filtered jobs are never batched.
-	BatchTraces bool
 	// Cache, when non-nil, serves hits and stores results by spec hash.
 	// A cache also enables the sweep manifest: an append-only JSONL file
 	// <cache-dir>/sweep-<hash>.manifest recording each job's terminal
@@ -121,11 +109,6 @@ type Options struct {
 	// (append-only JSONL, replayable with sweep.Replay). A nil collector
 	// costs one nil check per transition and changes nothing else.
 	Telemetry *sweep.Collector
-
-	// batch holds the sweep's shared trace snapshots (built by Run when
-	// BatchTraces grouped anything). It rides in the Options value
-	// threaded to runJob, so per-job code needs no extra plumbing.
-	batch *traceBatch
 }
 
 func (o Options) parallel() int {
@@ -137,23 +120,6 @@ func (o Options) parallel() int {
 		p = 1
 	}
 	return p
-}
-
-// clampWorkers bounds the sweep's worker count so that worker goroutines ×
-// per-run tick workers fit the machine. maxTick is the largest TickWorkers
-// requested by any job (≥ 1).
-func clampWorkers(workers, maxTick int) int {
-	if maxTick <= 1 {
-		return workers
-	}
-	lim := runtime.GOMAXPROCS(0) / maxTick
-	if lim < 1 {
-		lim = 1
-	}
-	if workers > lim {
-		return lim
-	}
-	return workers
 }
 
 // runSim is the simulation entry point, returning both the live result
@@ -216,10 +182,20 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 
 	outcomes := make([]outcome, len(jobs))
 
+	// The sweep journals are named by the job set's content. A set with an
+	// unhashable spec has no identity, so it gets no journals; that job
+	// still fails with its spec error below.
+	var sweepID string
+	if opts.Cache != nil {
+		if id, err := runspec.SweepID(jobs); err == nil {
+			sweepID = id
+		}
+	}
+	journal := sweepID != ""
 	var manifest *Manifest
 	var manifestErr error
-	if opts.Cache != nil {
-		manifest, manifestErr = OpenManifest(opts.Cache.Dir(), jobs)
+	if journal {
+		manifest, manifestErr = OpenManifest(opts.Cache.Dir(), sweepID, len(jobs))
 	}
 
 	// Telemetry: journal lifecycle events beside the manifest when both a
@@ -229,8 +205,8 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 	var telFile *os.File
 	var telErr error
 	if tel != nil {
-		if opts.Cache != nil {
-			telFile, telErr = openTelemetry(opts.Cache.Dir(), jobs)
+		if journal {
+			telFile, telErr = openTelemetry(opts.Cache.Dir(), sweepID)
 			if telErr == nil {
 				tel.AttachSink(telFile)
 			}
@@ -273,20 +249,10 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 			opts.OnJobDone(done, len(jobs), jobs[i], out.cached, out.err)
 		}
 	}
-	if opts.BatchTraces {
-		opts.batch = newTraceBatch(jobs)
-	}
 	workers := opts.parallel()
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	maxTick := 1
-	for _, j := range jobs {
-		if j.Spec.TickWorkers > maxTick {
-			maxTick = j.Spec.TickWorkers
-		}
-	}
-	workers = clampWorkers(workers, maxTick)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -358,12 +324,12 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 }
 
 // openTelemetry opens (creating dir as needed) the append-only telemetry
-// journal for this job set.
-func openTelemetry(dir string, jobs []Job) (*os.File, error) {
+// journal for the sweep sweepID.
+func openTelemetry(dir, sweepID string) (*os.File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return os.OpenFile(TelemetryPath(dir, jobs), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	return os.OpenFile(TelemetryPath(dir, sweepID), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
 // runJob resolves one job: cache hit → load, miss → simulate (with
@@ -396,15 +362,6 @@ func runJob(ctx context.Context, opts Options, j Job) (out outcome) {
 		return out
 	}
 	for {
-		// Attach the shared trace snapshot only after the cache miss: a
-		// fully cached sweep never materializes any group. Fresh cursors
-		// every attempt — a retry must not resume half-consumed ones. The
-		// snapshot feeds the simulation the exact records its own
-		// generators would produce, so the summary stored under the spec
-		// hash is unchanged.
-		if srcs := opts.batch.sourcesFor(j.Spec); srcs != nil {
-			cfg.Sources = srcs
-		}
 		out.attempts++
 		tel.JobAttempt(j.Key, out.attempts)
 		sum, err := runOnce(ctx, opts, j, cfg)

@@ -146,6 +146,34 @@ func TestCacheLoadEntryClassification(t *testing.T) {
 	}
 }
 
+// TestCacheEntryWithTickWorkersStillHits: entries written while specs
+// still had the tick_workers execution knob carry it in their spec JSON.
+// Cache reads are lenient, and Normalized always folded the knob to zero,
+// so such an entry still loads under the same hash and serves a hit.
+func TestCacheEntryWithTickWorkersStillHits(t *testing.T) {
+	cache := NewCache(t.TempDir())
+	jobs := tinyJobs(1)
+	mustRun(t, Options{Cache: cache}, jobs)
+	h, _ := jobs[0].Spec.Hash()
+	data, err := os.ReadFile(cache.Path(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(data), `"spec": {`, `"spec": {"tick_workers": 4, `, 1)
+	if old == string(data) {
+		t.Fatal("cache entry layout changed; cannot inject tick_workers")
+	}
+	if err := os.WriteFile(cache.Path(h), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cache.LoadEntry(h); err != nil {
+		t.Fatalf("entry with tick_workers must load: %v", err)
+	}
+	if _, st := mustRun(t, Options{Cache: cache}, jobs); st.CacheHits != 1 || st.Simulated != 0 {
+		t.Fatalf("entry with tick_workers must be a hit: %s", st)
+	}
+}
+
 func TestResumeAfterInterrupt(t *testing.T) {
 	jobs := tinyJobs(5)
 

@@ -88,7 +88,7 @@ func TestTelemetryChaosReplayMatchesStats(t *testing.T) {
 		t.Fatalf("attempt stats: %s", st)
 	}
 
-	path := TelemetryPath(dir, jobs)
+	path := TelemetryPath(dir, mustSweepID(t, jobs))
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("telemetry journal missing: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestTelemetryCanceledJobsJournaled(t *testing.T) {
 	if st.Canceled != 3 || st.Failures != 1 {
 		t.Fatalf("stats: %s", st)
 	}
-	if got := replayTotals(t, TelemetryPath(dir, jobs)); got != st {
+	if got := replayTotals(t, TelemetryPath(dir, mustSweepID(t, jobs))); got != st {
 		t.Fatalf("replayed totals diverge:\n  replay: %s\n  stats:  %s", got, st)
 	}
 }

@@ -1,9 +1,12 @@
 package runspec
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // Named pairs a display key with a spec: one job of a batch. Key is the
@@ -71,4 +74,27 @@ func ValidateBatch(jobs []Named) error {
 		}
 	}
 	return nil
+}
+
+// SweepID names a job set by content: the hex SHA-256 over the sorted spec
+// hashes. It is order-independent, so a resumed or re-sharded sweep, and
+// the same sweep run in-process or submitted to a farm, share one
+// identity. A job whose spec cannot hash is an error: no placeholder may
+// stand in for it, or two different sweeps would share one ID.
+func SweepID(jobs []Named) (string, error) {
+	hashes := make([]string, 0, len(jobs))
+	for _, j := range jobs {
+		h, err := j.Spec.Hash()
+		if err != nil {
+			return "", fmt.Errorf("runspec: job %s: %w", j.Key, err)
+		}
+		hashes = append(hashes, h)
+	}
+	sort.Strings(hashes)
+	sum := sha256.New()
+	for _, h := range hashes {
+		sum.Write([]byte(h))
+		sum.Write([]byte{'\n'})
+	}
+	return hex.EncodeToString(sum.Sum(nil)), nil
 }

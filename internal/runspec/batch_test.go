@@ -2,6 +2,7 @@ package runspec
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -60,8 +61,45 @@ func TestBatchRejectsUnknownFields(t *testing.T) {
 	if _, err := ReadBatch(strings.NewReader(in)); err == nil {
 		t.Fatal("unknown top-level field must be rejected")
 	}
-	in = `{"jobs":[{"key":"a","spec":{"scheme":"nonsecure","benchmark":"lbm","cores":1,"no_such_knob":true}}]}`
-	if _, err := ReadBatch(strings.NewReader(in)); err == nil {
-		t.Fatal("unknown spec field must be rejected")
+	// tick_workers is the spec field of the removed channel-parallel DRAM
+	// ticking: old batch files that carry it must fail, naming the field.
+	for _, field := range []string{"no_such_knob", "tick_workers"} {
+		in = `{"jobs":[{"key":"a","spec":{"scheme":"nonsecure","benchmark":"lbm","cores":1,"` + field + `":4}}]}`
+		if _, err := ReadBatch(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("unknown spec field %s: error %v must reject and name it", field, err)
+		}
+	}
+}
+
+// TestSweepID: the identity is order-independent and content-sensitive,
+// and an unhashable job never collapses onto a shared placeholder — two
+// sweeps that differ only in such a job get different IDs or an error.
+func TestSweepID(t *testing.T) {
+	a, b := batchJob("a", 1), batchJob("b", 2)
+	id1, err := SweepID([]Named{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id2, err := SweepID([]Named{b, a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id1 != id2 {
+		t.Fatalf("order changed the sweep ID: %s vs %s", id1, id2)
+	}
+	if id3, _ := SweepID([]Named{a, batchJob("b", 3)}); id3 == id1 {
+		t.Fatal("a different job set must get a different ID")
+	}
+
+	nan, inf := batchJob("x", 9), batchJob("x", 9)
+	nan.Spec.DataFrac = math.NaN()
+	inf.Spec.DataFrac = math.Inf(1)
+	idNaN, errNaN := SweepID([]Named{a, nan})
+	idInf, errInf := SweepID([]Named{a, inf})
+	if errNaN == nil && errInf == nil && idNaN == idInf {
+		t.Fatalf("sweeps differing only in an unhashable job share ID %s", idNaN)
+	}
+	if errNaN == nil || !strings.Contains(errNaN.Error(), "job x") {
+		t.Fatalf("unhashable job: error %v must name the job", errNaN)
 	}
 }

@@ -53,12 +53,6 @@ type Spec struct {
 	// either non-positive) keeps the defaults.
 	ROBSize     int `json:"rob_size,omitempty"`
 	RetireWidth int `json:"retire_width,omitempty"`
-	// TickWorkers requests channel-parallel DRAM ticking for the run. It
-	// is an execution knob, not a behavior knob — results are bit-identical
-	// at any value — so Normalized folds it to zero and it never enters
-	// the content hash: the same run at different worker counts shares one
-	// cache entry.
-	TickWorkers int `json:"tick_workers,omitempty"`
 	// SchemeOverride carries an explicit scheme instead of a name — the
 	// ablation studies tweak individual scheme knobs this way.
 	SchemeOverride *core.Scheme `json:"scheme_override,omitempty"`
@@ -98,7 +92,6 @@ func (s Spec) Normalized() Spec {
 		(n.ROBSize == def.ROBSize && n.RetireWidth == def.Width) {
 		n.ROBSize, n.RetireWidth = 0, 0
 	}
-	n.TickWorkers = 0 // execution knob: same results at any worker count
 	if n.Faults != nil {
 		if f := n.Faults.Normalized(); f.Enabled() {
 			n.Faults = &f
@@ -192,7 +185,6 @@ func (s Spec) SimConfig() (sim.Config, error) {
 		FilterLLC:     s.FilterLLC,
 		LLCMBPerCore:  s.LLCMBPerCore,
 		StrictVerify:  s.StrictVerify,
-		TickWorkers:   s.TickWorkers,
 		CPU:           cpu.Config{ROBSize: s.ROBSize, Width: s.RetireWidth},
 		Scheme:        s.SchemeOverride,
 		Faults:        faultsOf(s.Faults),
@@ -246,7 +238,6 @@ func FromSimConfig(cfg sim.Config) (Spec, error) {
 		FilterLLC:      cfg.FilterLLC,
 		LLCMBPerCore:   cfg.LLCMBPerCore,
 		StrictVerify:   cfg.StrictVerify,
-		TickWorkers:    cfg.TickWorkers,
 		ROBSize:        cfg.CPU.ROBSize,
 		RetireWidth:    cfg.CPU.Width,
 		SchemeOverride: cfg.Scheme,

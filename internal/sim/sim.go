@@ -67,11 +67,12 @@ type Config struct {
 	LLCMBPerCore int
 	// StrictVerify disables speculative verification.
 	StrictVerify bool
-	// TickWorkers, when > 1, ticks independent DRAM channels on a
-	// persistent worker pool with a cycle barrier. Purely an execution
-	// knob: results are bit-identical to serial ticking (the registry
-	// equivalence test pins this), so it never participates in run
-	// hashing. Useful only when Channels > 1.
+	// Deprecated: TickWorkers is a stub left from channel-parallel DRAM
+	// ticking, which was removed. DRAM channels always tick serially;
+	// RunContext accepts 0 and 1 and returns an error for anything
+	// larger. The stub exists only because the benchmark's step driver
+	// (perfbench/stepdriver.go) still reads it; delete it when a benchmark
+	// change drops it there.
 	TickWorkers int
 	// DisableIdleSkip forces the straight-line tick-by-tick loop, never
 	// fast-forwarding through idle periods. Results are bit-identical with
@@ -309,6 +310,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("sim: cores must be positive")
 	}
+	if cfg.TickWorkers > 1 {
+		return nil, fmt.Errorf("sim: TickWorkers=%d: channel-parallel DRAM ticking was removed", cfg.TickWorkers)
+	}
 	if cfg.Channels <= 0 {
 		cfg.Channels = 1
 	}
@@ -352,11 +356,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		Timing: timing,
 		Geom:   geom,
 		ReadQ:  48, WriteQ: 48, HighWM: 40, LowWM: 20,
-		TickWorkers: cfg.TickWorkers,
 	})
-	// Stop the channel-parallel tick workers (if any) when the run ends;
-	// the Memory's stats stay readable through the returned Result.
-	defer dmem.Close()
 	dataPages := uint64(float64(geom.CapacityBytes())*cfg.DataFrac) / mem.PageSize
 	var encl *enclave.System
 	if cfg.DenseAlloc {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -222,6 +223,28 @@ func TestEightCoreTwoChannel(t *testing.T) {
 		if r.Memory.ChannelStats(c).Reads.Value() == 0 {
 			t.Fatalf("channel %d saw no reads", c)
 		}
+	}
+}
+
+// TestTickWorkersStub pins the deprecated TickWorkers stub: 1 runs
+// serially with results identical to 0, and anything larger is an error.
+func TestTickWorkersStub(t *testing.T) {
+	cfg := quick("itesp", "mcf")
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.TickWorkers = 1
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != want.Cycles {
+		t.Fatalf("TickWorkers=1 changed cycles: %d vs %d", got.Cycles, want.Cycles)
+	}
+	cfg.TickWorkers = 2
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "TickWorkers") {
+		t.Fatalf("TickWorkers=2: err = %v, want an error naming the field", err)
 	}
 }
 
