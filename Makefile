@@ -11,8 +11,9 @@ build:
 test:
 	go test ./...
 
+# Same race-checked packages as scripts/check.sh.
 race:
-	go test -race ./internal/stats/... ./internal/obs/...
+	go test -race ./internal/stats/... ./internal/obs/... ./internal/runner/... ./internal/farm/...
 
 # Hot-loop benchmark suite; writes BENCH_hotloop.json (baseline + current).
 bench:

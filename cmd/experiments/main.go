@@ -60,8 +60,8 @@ func main() {
 
 	// A first SIGINT/SIGTERM cancels the sweep cooperatively: queued jobs
 	// are skipped while in-flight simulations drain into the cache and the
-	// sweep manifest is flushed. A second signal force-kills (stop restores
-	// the default handler once the context has fired).
+	// sweep's telemetry journal is flushed. A second signal force-kills
+	// (stop restores the default handler once the context has fired).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
@@ -80,11 +80,12 @@ func main() {
 
 	var runnerStats runner.Stats
 
-	// Sweep telemetry is attached only when something consumes it (-status-addr
-	// or -progress); the default path runs with a nil collector and is
-	// bit-identical to a telemetry-free sweep.
+	// Sweep telemetry is attached only when something consumes it: the
+	// on-disk sweep journal beside a cache (-cache-dir/-resume),
+	// -status-addr or -progress. The default path runs with a nil collector;
+	// results are bit-identical either way.
 	var col *sweep.Collector
-	if *statusAddr != "" || *progress {
+	if *cacheDir != "" || *statusAddr != "" || *progress {
 		col = sweep.New()
 	}
 	if *statusAddr != "" {
@@ -268,7 +269,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "error:", err)
 		}
 		if *cacheDir != "" {
-			fmt.Fprintf(os.Stderr, "interrupted: in-flight jobs drained into %s (sweep manifest alongside)\n", *cacheDir)
+			fmt.Fprintf(os.Stderr, "interrupted: in-flight jobs drained into %s (sweep telemetry journal alongside)\n", *cacheDir)
 			fmt.Fprintf(os.Stderr, "rerun the same command with -cache-dir %s (or -resume) to continue without re-simulating completed jobs\n", *cacheDir)
 		} else {
 			fmt.Fprintln(os.Stderr, "interrupted: no cache directory was set, so completed work was not persisted; next time add -cache-dir DIR or -resume to make the sweep resumable")

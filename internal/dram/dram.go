@@ -12,25 +12,12 @@ import (
 	"repro/internal/stats"
 )
 
-// SchedPolicy selects the memory-controller scheduling algorithm.
-type SchedPolicy uint8
-
-const (
-	// FRFCFS is first-ready, first-come-first-served with rank batching —
-	// the standard high-performance policy assumed by the paper's USIMM
-	// methodology (default).
-	FRFCFS SchedPolicy = iota
-	// FCFS serves the oldest request strictly in order; a baseline for
-	// scheduler ablations.
-	FCFS
-)
-
-// Config describes a memory system instance.
+// Config describes a memory system instance. Every channel schedules
+// FR-FCFS (first-ready, first-come-first-served with rank batching), the
+// policy assumed by the paper's USIMM methodology.
 type Config struct {
 	Timing Timing
 	Geom   addrmap.Geometry
-	// Sched selects the scheduling policy (default FRFCFS).
-	Sched SchedPolicy
 	// ReadQ / WriteQ are the per-channel queue capacities (48/48 in
 	// Table III).
 	ReadQ  int
@@ -650,16 +637,7 @@ func (ch *channel) tick(now uint64, done []*Txn) ([]*Txn, bool) {
 	}
 	until := uint64(math.MaxUint64)
 	primaryWrites := ch.draining || len(ch.readQ) == 0
-	if ch.cfg.Sched == FCFS {
-		primary, secondary := ch.readQ, ch.writeQ
-		if primaryWrites {
-			primary, secondary = ch.writeQ, ch.readQ
-		}
-		if ch.issueFCFS(primary, now, &until) || ch.issueFCFS(secondary, now, &until) {
-			ch.nextTry = 0
-			return done, true
-		}
-	} else if ch.issueFromBanks(primaryWrites, now, &until) || ch.issueFromBanks(!primaryWrites, now, &until) {
+	if ch.issueFromBanks(primaryWrites, now, &until) || ch.issueFromBanks(!primaryWrites, now, &until) {
 		ch.nextTry = 0
 		return done, true
 	}
@@ -751,24 +729,6 @@ func (ch *channel) refreshBound(now uint64) uint64 {
 		}
 	}
 	return next
-}
-
-// issueFCFS serves the oldest transaction strictly in order; only the
-// queue head may issue. When it cannot, *until is lowered to its release
-// time.
-func (ch *channel) issueFCFS(q []*Txn, now uint64, until *uint64) bool {
-	for _, t := range q {
-		c, u := ch.cmdReady(t, now)
-		if c != cmdNone {
-			ch.issue(t, c, now)
-			return true
-		}
-		if u < *until {
-			*until = u
-		}
-		return false
-	}
-	return false
 }
 
 // issueFromBanks applies FR-FCFS over one direction's bank buckets: among
@@ -1447,20 +1407,15 @@ func (ch *channel) removeFromQueue(t *Txn) {
 		q = &ch.writeQ
 		bl = &ch.bankWrite[ch.bankIdx(t)]
 	}
-	// Under FR-FCFS the flat queues are only consulted for occupancy (the
-	// scan runs over the bank buckets and breaks ties by Txn.seq), so a
-	// swap-remove avoids the O(queue) shift; FCFS serves the queue head in
-	// order and needs the ordered removal.
+	// The flat queues are only consulted for occupancy (the scan runs over
+	// the bank buckets and breaks ties by Txn.seq), so a swap-remove avoids
+	// the O(queue) shift.
 	for i, x := range *q {
 		if x == t {
-			if ch.cfg.Sched == FCFS {
-				*q = append((*q)[:i], (*q)[i+1:]...)
-			} else {
-				last := len(*q) - 1
-				(*q)[i] = (*q)[last]
-				(*q)[last] = nil
-				*q = (*q)[:last]
-			}
+			last := len(*q) - 1
+			(*q)[i] = (*q)[last]
+			(*q)[last] = nil
+			*q = (*q)[:last]
 			break
 		}
 	}

@@ -307,49 +307,22 @@ func TestPendingCount(t *testing.T) {
 	}
 }
 
-func TestFRFCFSBeatsFCFS(t *testing.T) {
-	// Interleave requests so that in-order service ping-pongs between two
-	// rows of one bank while FR-FCFS can batch the row hits.
-	run := func(pol SchedPolicy) uint64 {
-		cfg := tinyConfig()
-		cfg.Sched = pol
-		m := New(cfg)
-		var txns []*Txn
-		for i := 0; i < 8; i++ {
-			tx := read(addrmap.Location{Row: i % 2, Column: i})
-			txns = append(txns, tx)
-			m.Enqueue(tx)
-		}
-		runUntil(t, m, 8, 100000)
-		var last uint64
-		for _, tx := range txns {
-			if tx.Done > last {
-				last = tx.Done
-			}
-		}
-		return last
+func TestFRFCFSPrefersRowHits(t *testing.T) {
+	// Requests alternate between two rows of one bank. In-order service
+	// would ping-pong (no row hits); FR-FCFS serves each younger hit to the
+	// open row before the older conflict, batching four reads per row.
+	m := New(tinyConfig())
+	var txns []*Txn
+	for i := 0; i < 8; i++ {
+		tx := read(addrmap.Location{Row: i % 2, Column: i})
+		txns = append(txns, tx)
+		m.Enqueue(tx)
 	}
-	fr := run(FRFCFS)
-	fc := run(FCFS)
-	if fr >= fc {
-		t.Fatalf("FR-FCFS (%d) should beat FCFS (%d) on row-ping-pong traffic", fr, fc)
+	runUntil(t, m, 8, 100000)
+	if hits := m.ChannelStats(0).RowHits.Value(); hits != 6 {
+		t.Fatalf("row hits = %d, want 6 (two batches of four)", hits)
 	}
-}
-
-func TestFCFSStillCompletesEverything(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Sched = FCFS
-	m := New(cfg)
-	checkers := m.AttachCheckers()
-	for i := 0; i < 6; i++ {
-		typ := mem.Read
-		if i%2 == 1 {
-			typ = mem.Write
-		}
-		m.Enqueue(&Txn{Op: mem.Op{Type: typ}, Loc: addrmap.Location{Rank: i % 2, Row: i}})
-	}
-	runUntil(t, m, 6, 100000)
-	if !checkers[0].Ok() {
-		t.Fatalf("FCFS protocol violations: %v", checkers[0].Violations)
+	if txns[2].Done >= txns[1].Done {
+		t.Fatalf("younger row hit done at %d, older conflict at %d: hit must go first", txns[2].Done, txns[1].Done)
 	}
 }

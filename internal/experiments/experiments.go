@@ -81,8 +81,7 @@ type Options struct {
 	RunnerStats *runner.Stats
 	// Telemetry, when non-nil, receives job-lifecycle events from every
 	// batch of the experiment (see internal/obs/sweep); with a CacheDir
-	// set, each batch also journals its events to a telemetry.jsonl beside
-	// the sweep manifest.
+	// set, each batch also journals its events to a telemetry.jsonl in it.
 	Telemetry *sweep.Collector
 	// Obs configures per-simulation observability artifacts and sweep
 	// progress reporting.

@@ -54,7 +54,6 @@ const (
 	PathLease     = "/" + Version + "/jobs/lease"
 	PathHeartbeat = "/" + Version + "/jobs/heartbeat"
 	PathComplete  = "/" + Version + "/jobs/complete"
-	PathWorkers   = "/" + Version + "/workers"
 )
 
 // Routes returns the full endpoint set the coordinator serves, in
@@ -67,7 +66,6 @@ func Routes() []Route {
 		{Method: "POST", Path: PathLease, Doc: "long-poll lease of the next queued job (worker pull)"},
 		{Method: "POST", Path: PathHeartbeat, Doc: "renew a live lease before its TTL lapses"},
 		{Method: "POST", Path: PathComplete, Doc: "push a leased job's summary or classified failure"},
-		{Method: "POST", Path: PathWorkers, Doc: "register a worker and advertise its capabilities (name, version, memory)"},
 		{Method: "GET", Path: "/progress", Doc: "aggregated sweep progress snapshot (JSON)"},
 		{Method: "GET", Path: "/metrics", Doc: "Prometheus exposition: farm_* and sweep_* gauges"},
 		{Method: "GET", Path: "/events", Doc: "live job-lifecycle stream (NDJSON, or SSE via Accept)"},
@@ -229,36 +227,4 @@ type ResultResponse struct {
 	Hash    string       `json:"hash"`
 	Spec    runspec.Spec `json:"spec"`
 	Summary *sim.Summary `json:"summary"`
-}
-
-// RegisterRequest announces a worker to the coordinator with its
-// capabilities. Registration is advisory — leasing works without it — but
-// registered workers appear with liveness on /progress, which is how an
-// operator tells "the farm is idle" from "every worker is gone".
-type RegisterRequest struct {
-	Name string `json:"name"`
-	// Version is the worker build's protocol/package version string.
-	Version string `json:"version,omitempty"`
-	// MaxMemMB advertises the memory budget the worker is willing to
-	// dedicate to simulations (0 = unknown/unbounded).
-	MaxMemMB int `json:"max_mem_mb,omitempty"`
-}
-
-// RegisterResponse acknowledges a registration.
-type RegisterResponse struct {
-	// Workers is the number of workers currently known to the coordinator
-	// (including this one).
-	Workers int `json:"workers"`
-}
-
-// WorkerStatus is one registered worker's row in the coordinator's
-// /progress report. Live reflects recent activity (registration, lease,
-// heartbeat, or completion) within the coordinator's liveness window.
-type WorkerStatus struct {
-	Name        string `json:"name"`
-	Version     string `json:"version,omitempty"`
-	MaxMemMB    int    `json:"max_mem_mb,omitempty"`
-	FirstSeenMS int64  `json:"first_seen_t_ms"`
-	LastSeenMS  int64  `json:"last_seen_t_ms"`
-	Live        bool   `json:"live"`
 }

@@ -1,7 +1,6 @@
 package farm
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/tls"
@@ -60,9 +59,9 @@ type ClientOptions struct {
 	TLS *tls.Config
 	// Retry bounds transient-error retries; zero fields take DefaultRetry.
 	Retry RetryPolicy
-	// PollInterval/PollMax pace RunSweep's status polling when the /events
-	// stream is unavailable: jittered backoff from PollInterval (default
-	// 300ms) up to PollMax (default 2s), reset on progress.
+	// PollInterval/PollMax pace RunSweep's status polling: jittered
+	// backoff from PollInterval (default 300ms) up to PollMax (default
+	// 2s), reset on progress.
 	PollInterval time.Duration
 	PollMax      time.Duration
 }
@@ -272,17 +271,6 @@ func (c *Client) Complete(ctx context.Context, req api.CompleteRequest) (*api.Co
 	return &resp, nil
 }
 
-// Register announces a worker and its capabilities to the coordinator.
-// Advisory: a coordinator predating the endpoint answers 404/405, which
-// callers should treat as "registration unsupported", not failure.
-func (c *Client) Register(ctx context.Context, req api.RegisterRequest) (*api.RegisterResponse, error) {
-	var resp api.RegisterResponse
-	if err := c.doRetry(ctx, http.MethodPost, api.PathWorkers, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // Sweep fetches a sweep's status.
 func (c *Client) Sweep(ctx context.Context, id string) (*api.SweepStatus, error) {
 	var resp api.SweepStatus
@@ -303,10 +291,11 @@ func (c *Client) Result(ctx context.Context, hash string) (*api.ResultResponse, 
 
 // RunSweep is the batch front door: submit jobs, wait until every job is
 // terminal, and return summaries keyed by job key — the remote equivalent
-// of runner.Run. Progress is event-driven when the coordinator's /events
-// stream is available (each lifecycle event triggers a status re-fetch,
-// with a coarse safety poll underneath); when streaming is unavailable or
-// dies, RunSweep falls back to polling with jittered backoff. onDone, when
+// of runner.Run. It waits by polling the sweep status with jittered
+// exponential backoff, reset whenever a job reaches a terminal state: the
+// one wake path that works through every proxy and coordinator restart
+// (the coordinator's /events stream drops events for slow subscribers, so
+// it could never replace the poll; it is for operators). onDone, when
 // non-nil, is called as jobs reach terminal states (serialized, with
 // monotonically increasing done counts). Failed jobs are reported like the
 // runner reports them: one error per failed job, joined, with every
@@ -316,10 +305,6 @@ func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func
 	if err != nil {
 		return nil, err
 	}
-	wctx, wcancel := context.WithCancel(ctx)
-	defer wcancel()
-	events := c.openEvents(wctx)
-
 	reported := map[string]bool{}
 	backoff := c.pollBase
 	var st *api.SweepStatus
@@ -328,49 +313,35 @@ func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func
 		if err != nil {
 			return nil, err
 		}
-		progressed := false
-		if onDone != nil {
-			// Report newly terminal jobs in deterministic (key) order.
-			var fresh []api.JobStatus
-			for _, j := range st.Jobs {
-				if !reported[j.Key] && terminal(j.State) {
-					fresh = append(fresh, j)
-				}
+		// Report newly terminal jobs in deterministic (key) order.
+		var fresh []api.JobStatus
+		for _, j := range st.Jobs {
+			if !reported[j.Key] && terminal(j.State) {
+				fresh = append(fresh, j)
 			}
-			sort.Slice(fresh, func(i, k int) bool { return fresh[i].Key < fresh[k].Key })
-			for _, j := range fresh {
-				reported[j.Key] = true
-				progressed = true
+		}
+		sort.Slice(fresh, func(i, k int) bool { return fresh[i].Key < fresh[k].Key })
+		for _, j := range fresh {
+			reported[j.Key] = true
+			if onDone != nil {
 				onDone(len(reported), len(st.Jobs), j.Key, j.State == api.StateCached)
 			}
 		}
 		if st.Complete {
 			break
 		}
-		if progressed {
+		if len(fresh) > 0 {
 			backoff = c.pollBase // the farm is moving; stay responsive
 		}
-		wait := backoff
-		if events == nil {
-			// Pure polling: jittered exponential backoff up to the cap, so
-			// a thousand idle clients don't synchronize on one coordinator.
-			wait = backoff/2 + time.Duration(rand.Int64N(int64(backoff/2)+1))
-			if backoff *= 2; backoff > c.pollMax {
-				backoff = c.pollMax
-			}
-		} else {
-			// Streaming: events drive re-fetches; the timer is only a
-			// safety net against missed/dropped events.
-			wait = c.pollMax
+		// Jittered exponential backoff up to the cap, so a thousand idle
+		// clients don't synchronize on one coordinator.
+		wait := backoff/2 + time.Duration(rand.Int64N(int64(backoff/2)+1))
+		if backoff *= 2; backoff > c.pollMax {
+			backoff = c.pollMax
 		}
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case _, ok := <-events:
-			if !ok {
-				events = nil // stream died: fall back to polling
-				backoff = c.pollBase
-			}
 		case <-time.After(wait):
 		}
 	}
@@ -390,49 +361,6 @@ func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func
 		results[j.Key] = res.Summary
 	}
 	return results, errors.Join(errs...)
-}
-
-// openEvents subscribes to the coordinator's /events SSE stream and
-// returns a channel that receives one (coalesced) signal per lifecycle
-// event and closes when the stream ends. Returns nil when streaming is
-// unavailable (older coordinator, proxy stripping streaming, transport
-// error) — the caller falls back to polling. The stream lives until ctx
-// fires.
-func (c *Client) openEvents(ctx context.Context) <-chan struct{} {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/events", nil)
-	if err != nil {
-		return nil
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil
-	}
-	if resp.StatusCode != http.StatusOK ||
-		!strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		resp.Body.Close()
-		return nil
-	}
-	ch := make(chan struct{}, 1)
-	go func() {
-		defer resp.Body.Close()
-		defer close(ch)
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-		for sc.Scan() {
-			if !strings.HasPrefix(sc.Text(), "data:") {
-				continue
-			}
-			select {
-			case ch <- struct{}{}: // coalesce: one pending signal is enough
-			default:
-			}
-		}
-	}()
-	return ch
 }
 
 // terminal reports whether a job state is final.

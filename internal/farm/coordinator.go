@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -98,7 +97,6 @@ type Coordinator struct {
 	queue     []string        // pending hashes, FIFO
 	leases    map[string]*job // live leases by lease ID
 	sweeps    map[string]*sweepState
-	workers   map[string]*api.WorkerStatus // registered workers by name
 	leaseSeq  uint64
 	wake      chan struct{} // closed and replaced whenever work is queued
 	journal   *journal
@@ -150,7 +148,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		jobs:    map[string]*job{},
 		leases:  map[string]*job{},
 		sweeps:  map[string]*sweepState{},
-		workers: map[string]*api.WorkerStatus{},
 		wake:    make(chan struct{}),
 		journal: j,
 	}
@@ -350,7 +347,6 @@ func (c *Coordinator) leaseLocked(worker string) *api.Lease {
 		j.worker = worker
 		j.expiry = now.Add(c.cfg.LeaseTTL)
 		c.leases[j.lease] = j
-		c.touchWorkerLocked(worker)
 		c.cfg.Collector.JobStarted(j.key, h)
 		c.cfg.Collector.JobAttempt(j.key, j.attempts)
 		c.record(JournalRecord{Kind: "lease", Key: j.key, Hash: h, Lease: j.lease, Worker: worker, Attempts: j.attempts})
@@ -378,7 +374,6 @@ func (c *Coordinator) Heartbeat(leaseID string) (time.Duration, error) {
 		return 0, &api.Error{Code: api.CodeLeaseGone, Message: fmt.Sprintf("lease %s is unknown or lapsed", leaseID)}
 	}
 	j.expiry = c.cfg.Clock().Add(c.cfg.LeaseTTL)
-	c.touchWorkerLocked(j.worker)
 	return c.cfg.LeaseTTL, nil
 }
 
@@ -399,7 +394,6 @@ func (c *Coordinator) Complete(req api.CompleteRequest) (string, error) {
 	}
 	delete(c.leases, req.Lease)
 	j.lease = ""
-	c.touchWorkerLocked(j.worker)
 
 	if req.Outcome == api.OutcomeOK {
 		if req.Summary == nil {
@@ -555,75 +549,23 @@ func (c *Coordinator) Result(hash string) (*api.ResultResponse, error) {
 	return nil, &api.Error{Code: api.CodeNotFound, Message: fmt.Sprintf("no result for %s", hash)}
 }
 
-// RegisterWorker records (or refreshes) a worker's registration and
-// capability advertisement. Registration is advisory: leasing never
-// requires it, but registered workers appear with liveness on /progress.
-func (c *Coordinator) RegisterWorker(req api.RegisterRequest) (*api.RegisterResponse, error) {
-	if req.Name == "" {
-		return nil, &api.Error{Code: api.CodeBadRequest, Message: "worker name is required"}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.cfg.Clock().UnixMilli()
-	w := c.workers[req.Name]
-	if w == nil {
-		w = &api.WorkerStatus{Name: req.Name, FirstSeenMS: now}
-		c.workers[req.Name] = w
-	}
-	w.Version = req.Version
-	w.MaxMemMB = req.MaxMemMB
-	w.LastSeenMS = now
-	return &api.RegisterResponse{Workers: len(c.workers)}, nil
-}
-
-// touchWorkerLocked refreshes a registered worker's last-seen time on
-// protocol activity (lease, heartbeat, complete). Unregistered workers are
-// not implicitly created: liveness is only meaningful against an explicit
-// capability advertisement. Callers hold c.mu.
-func (c *Coordinator) touchWorkerLocked(name string) {
-	if w := c.workers[name]; w != nil {
-		w.LastSeenMS = c.cfg.Clock().UnixMilli()
-	}
-}
-
-// workerLiveness is the multiple of LeaseTTL within which a registered
-// worker's last activity counts as live on /progress.
-const workerLiveness = 3
-
-// Workers reports the registered workers sorted by name, with liveness
-// computed against the coordinator's clock.
-func (c *Coordinator) Workers() []api.WorkerStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cutoff := c.cfg.Clock().Add(-workerLiveness * c.cfg.LeaseTTL).UnixMilli()
-	out := make([]api.WorkerStatus, 0, len(c.workers))
-	for _, w := range c.workers {
-		ws := *w
-		ws.Live = ws.LastSeenMS >= cutoff
-		out = append(out, ws)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Name < out[k].Name })
-	return out
-}
-
 // Stats is a point-in-time census of the coordinator's job table, exposed
 // as farm_* gauges on /metrics and under "farm" on /progress.
 type Stats struct {
-	Jobs    int `json:"jobs"`
-	Queued  int `json:"queued"`
-	Leased  int `json:"leased"`
-	Done    int `json:"done"`
-	Cached  int `json:"cached"`
-	Failed  int `json:"failed"`
-	Sweeps  int `json:"sweeps"`
-	Workers int `json:"workers"`
+	Jobs   int `json:"jobs"`
+	Queued int `json:"queued"`
+	Leased int `json:"leased"`
+	Done   int `json:"done"`
+	Cached int `json:"cached"`
+	Failed int `json:"failed"`
+	Sweeps int `json:"sweeps"`
 }
 
 // Snapshot returns the current Stats.
 func (c *Coordinator) Snapshot() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Stats{Jobs: len(c.jobs), Sweeps: len(c.sweeps), Workers: len(c.workers)}
+	s := Stats{Jobs: len(c.jobs), Sweeps: len(c.sweeps)}
 	for _, j := range c.jobs {
 		switch j.state {
 		case api.StateQueued:

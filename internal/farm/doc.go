@@ -10,7 +10,7 @@
 //
 //   - Identity is the runspec content hash everywhere. A sweep's ID is
 //     runspec.SweepID, a hash over its jobs' spec hashes — the same ID the
-//     runner names its sweep journals by — so submission is idempotent and
+//     runner names its sweep journal by — so submission is idempotent and
 //     a farm sweep and the identical in-process sweep name the same work.
 //     Specs carry no execution knobs, so the corpus is shareable across
 //     machines with different worker/core counts.
@@ -30,7 +30,7 @@
 //     /progress, /metrics, and /events aggregate the whole farm exactly
 //     like a local sweep. Every state transition is also journaled to an
 //     append-only farm-journal.jsonl beside the corpus (the crash-safe
-//     whole-line-append idiom of the sweep manifest).
+//     whole-line-append idiom of the sweep telemetry journal).
 //
 // See DESIGN.md's "Sweep farm" chapter for the endpoint, lease, and
 // state-machine reference, and examples/farm for a runnable walkthrough.

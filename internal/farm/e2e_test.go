@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -176,5 +177,29 @@ func TestE2EWorkerCountInvariantHash(t *testing.T) {
 	}
 	if h1 != h2 {
 		t.Fatalf("tick_workers must not enter the content hash: %s vs %s", h1, h2)
+	}
+}
+
+// TestWorkerCacheHoldsNoSweepJournals: a worker runs each lease as its own
+// one-job runner sweep without a telemetry collector, so its local cache
+// gains result entries but no per-lease sweep journal files.
+func TestWorkerCacheHoldsNoSweepJournals(t *testing.T) {
+	_, cl := testFarm(t, Config{})
+	jobs := []runspec.Named{protoJob("a", 1), protoJob("b", 2), protoJob("c", 3)}
+	if _, err := cl.Submit(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	n, err := Work(context.Background(), WorkerOptions{
+		Client: cl, CacheDir: dir, PollWait: 50 * time.Millisecond, IdleExit: 100 * time.Millisecond,
+	})
+	if err != nil || n != len(jobs) {
+		t.Fatalf("worker executed %d jobs (err %v), want %d", n, err, len(jobs))
+	}
+	if entries, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(entries) != len(jobs) {
+		t.Fatalf("local cache entries: %v", entries)
+	}
+	if journals, _ := filepath.Glob(filepath.Join(dir, "sweep-*")); len(journals) != 0 {
+		t.Fatalf("worker cache holds sweep journals: %v", journals)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/farm/api"
-	"repro/internal/obs/sweep"
 	"repro/internal/runspec"
 	"repro/internal/sim"
 )
@@ -112,7 +111,7 @@ func TestClientBackoffHonorsContext(t *testing.T) {
 }
 
 // completeSweep drains the queue as an inline worker: lease and complete
-// until the queue is empty, pacing so lifecycle events spread out in time.
+// until the queue is empty.
 func completeSweep(t *testing.T, cl *Client) {
 	t.Helper()
 	ctx := context.Background()
@@ -136,42 +135,11 @@ func completeSweep(t *testing.T, cl *Client) {
 	}
 }
 
-// TestRunSweepEventDriven: with a collector attached, RunSweep rides the
-// /events stream — the sweep finishes long before the (deliberately huge)
-// polling floor could have noticed, proving events drove the re-fetches.
-func TestRunSweepEventDriven(t *testing.T) {
-	_, cl := testFarm(t, Config{Collector: sweep.New()})
-	// Polling alone would need ≥20s to observe completion; events must win.
-	slow := NewClientOpts(cl.base, ClientOptions{PollInterval: 20 * time.Second, PollMax: 30 * time.Second})
-
-	jobs := []runspec.Named{protoJob("a", 1), protoJob("b", 2)}
-	go func() {
-		// Give RunSweep time to submit and subscribe before completing.
-		time.Sleep(100 * time.Millisecond)
-		completeSweep(t, cl)
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	start := time.Now()
-	var reports int
-	res, err := slow.RunSweep(ctx, jobs, func(done, total int, key string, cached bool) { reports++ })
-	if err != nil {
-		t.Fatalf("RunSweep: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("event-driven sweep took %v — events did not drive completion", elapsed)
-	}
-	if len(res) != 2 || reports != 2 {
-		t.Fatalf("results %d, reports %d, want 2/2", len(res), reports)
-	}
-}
-
-// TestRunSweepPollingFallback: without a collector the coordinator answers
-// /events with 501, so RunSweep must fall back to jittered-backoff polling
-// and still converge.
+// TestRunSweepPollingFallback: RunSweep waits by jittered-backoff polling
+// of the sweep status alone, so it converges even against a coordinator
+// without a collector (whose /events answers 501).
 func TestRunSweepPollingFallback(t *testing.T) {
-	_, cl := testFarm(t, Config{}) // no collector → /events unavailable
+	_, cl := testFarm(t, Config{})
 	poller := NewClientOpts(cl.base, ClientOptions{PollInterval: 5 * time.Millisecond, PollMax: 25 * time.Millisecond})
 
 	jobs := []runspec.Named{protoJob("a", 1), protoJob("b", 2)}
@@ -181,7 +149,7 @@ func TestRunSweepPollingFallback(t *testing.T) {
 	defer cancel()
 	res, err := poller.RunSweep(ctx, jobs, nil)
 	if err != nil {
-		t.Fatalf("RunSweep without events: %v", err)
+		t.Fatalf("RunSweep: %v", err)
 	}
 	if len(res) != 2 {
 		t.Fatalf("results: %d, want 2", len(res))

@@ -3,11 +3,9 @@ package farm
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -152,70 +150,5 @@ func TestAuthMutualTLS(t *testing.T) {
 	// LoadClientTLS enforces cert/key pairing.
 	if _, err := LoadClientTLS(p("ca.pem"), p("client.pem"), ""); err == nil {
 		t.Fatal("client cert without its key must be rejected at load time")
-	}
-}
-
-// TestWorkerRegistry: registration is advisory but visible — capabilities
-// land on /progress with liveness computed against protocol activity.
-func TestWorkerRegistry(t *testing.T) {
-	clock := newFakeClock()
-	co, cl := testFarm(t, Config{LeaseTTL: 30 * time.Second, Clock: clock.Now})
-	ctx := context.Background()
-
-	if _, err := cl.Register(ctx, api.RegisterRequest{}); errCode(t, err) != api.CodeBadRequest {
-		t.Fatal("nameless registration must be rejected")
-	}
-	reg, err := cl.Register(ctx, api.RegisterRequest{Name: "w1", Version: api.Version, MaxMemMB: 4096})
-	if err != nil || reg.Workers != 1 {
-		t.Fatalf("register: %+v %v", reg, err)
-	}
-
-	ws := co.Workers()
-	if len(ws) != 1 || ws[0].Name != "w1" || ws[0].MaxMemMB != 4096 || !ws[0].Live {
-		t.Fatalf("workers: %+v", ws)
-	}
-	if s := co.Snapshot(); s.Workers != 1 {
-		t.Fatalf("stats: %+v", s)
-	}
-
-	// An old worker that still advertises the removed tick_workers
-	// capability is rejected, and the error names the field.
-	srv := httptest.NewServer(Handler(co))
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+api.PathWorkers, "application/json",
-		strings.NewReader(`{"name":"old","tick_workers":4}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "tick_workers") {
-		t.Fatalf("old registration: %d %s", resp.StatusCode, body)
-	}
-
-	// Past 3×LeaseTTL of silence the worker reads as dead...
-	clock.Advance(91 * time.Second)
-	if ws := co.Workers(); ws[0].Live {
-		t.Fatal("a silent worker must read as not live after 3×LeaseTTL")
-	}
-	// ...and any protocol activity (here a lease) revives it.
-	if _, err := cl.Submit(ctx, []runspec.Named{protoJob("a", 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Lease(ctx, "w1", 0); err != nil {
-		t.Fatal(err)
-	}
-	if ws := co.Workers(); !ws[0].Live {
-		t.Fatal("protocol activity must refresh liveness")
-	}
-
-	// Re-registration refreshes capabilities in place; unregistered names
-	// are never implicitly created by protocol traffic.
-	if _, err := cl.Register(ctx, api.RegisterRequest{Name: "w1", MaxMemMB: 8192}); err != nil {
-		t.Fatal(err)
-	}
-	ws = co.Workers()
-	if len(ws) != 1 || ws[0].MaxMemMB != 8192 {
-		t.Fatalf("refreshed registration: %+v", ws)
 	}
 }

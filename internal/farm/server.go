@@ -50,11 +50,9 @@ func Handler(c *Coordinator) http.Handler {
 			mux.HandleFunc(rt.Method+" "+rt.Path, c.handleHeartbeat)
 		case api.PathComplete:
 			mux.HandleFunc(rt.Method+" "+rt.Path, c.handleComplete)
-		case api.PathWorkers:
-			mux.HandleFunc(rt.Method+" "+rt.Path, c.handleWorkers)
 		case "/progress":
 			// The farm owns /progress: the collector snapshot plus the job
-			// census and registered-worker liveness in one report.
+			// census in one report.
 			mux.HandleFunc(rt.Method+" "+rt.Path, c.handleProgress)
 		case "/metrics", "/events":
 			mux.Handle(rt.Method+" "+rt.Path, status)
@@ -94,33 +92,17 @@ func withAuth(token string, next http.Handler) http.Handler {
 }
 
 // ProgressReport is the coordinator's /progress body: the aggregated
-// sweep-lifecycle snapshot, the farm job census, and the registered
-// workers with liveness.
+// sweep-lifecycle snapshot and the farm job census.
 type ProgressReport struct {
-	Sweep   sweep.Progress     `json:"sweep"`
-	Farm    Stats              `json:"farm"`
-	Workers []api.WorkerStatus `json:"workers"`
+	Sweep sweep.Progress `json:"sweep"`
+	Farm  Stats          `json:"farm"`
 }
 
 func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, ProgressReport{
-		Sweep:   c.cfg.Collector.Snapshot(),
-		Farm:    c.Snapshot(),
-		Workers: c.Workers(),
+		Sweep: c.cfg.Collector.Snapshot(),
+		Farm:  c.Snapshot(),
 	})
-}
-
-func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	var req api.RegisterRequest
-	if !readBody(w, r, &req) {
-		return
-	}
-	resp, err := c.RegisterWorker(req)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, resp)
 }
 
 // registerFarmGauges exposes the coordinator's job census as farm_* gauges
@@ -136,7 +118,6 @@ func registerFarmGauges(reg *obs.Registry, c *Coordinator) {
 	g("cached", func(s Stats) int { return s.Cached })
 	g("failed", func(s Stats) int { return s.Failed })
 	g("sweeps", func(s Stats) int { return s.Sweeps })
-	g("workers", func(s Stats) int { return s.Workers })
 }
 
 // writeJSON writes v as the 200 response body.

@@ -34,10 +34,6 @@ type WorkerOptions struct {
 	// long without being granted a job — how a drain-and-exit worker (CI
 	// smoke, batch clusters) knows it is done. Zero runs until ctx fires.
 	IdleExit time.Duration
-	// MaxMemMB advertises the worker's simulation memory budget at
-	// registration (0 = unknown). Advisory: the coordinator surfaces it on
-	// /progress, it does not gate leasing.
-	MaxMemMB int
 	// Logf, when non-nil, receives one line per lease/completion.
 	Logf func(format string, args ...any)
 }
@@ -71,26 +67,6 @@ func Work(ctx context.Context, o WorkerOptions) (int, error) {
 	var cache *runner.Cache
 	if o.CacheDir != "" {
 		cache = runner.NewCache(o.CacheDir)
-	}
-
-	// Register capabilities up front (best effort: an older coordinator
-	// without the endpoint answers 404/405 and leasing works regardless).
-	// A credential rejection here is fatal — every later call would be
-	// rejected the same way.
-	rctx, rcancel := context.WithTimeout(ctx, 10*time.Second)
-	reg, rerr := o.Client.Register(rctx, api.RegisterRequest{
-		Name: o.Name, Version: api.Version, MaxMemMB: o.MaxMemMB,
-	})
-	rcancel()
-	switch {
-	case rerr == nil:
-		logf("registered with coordinator (%d workers known)", reg.Workers)
-	case api.IsAuth(rerr):
-		return 0, fmt.Errorf("%w: %v", ErrUnauthorized, rerr)
-	case ctx.Err() != nil:
-		return 0, nil
-	default:
-		logf("worker registration unavailable: %v", rerr)
 	}
 
 	executed := 0

@@ -44,8 +44,8 @@ const (
 	EventSweepEnd = "sweep_end"
 )
 
-// Terminal outcomes carried by EventDone. They mirror the runner's sweep
-// manifest states, so the two journals speak the same vocabulary.
+// Terminal outcomes carried by EventDone: the runner classifies every
+// job's terminal state into exactly one of these.
 const (
 	OutcomeDone     = "done"     // simulated to completion
 	OutcomeCached   = "cached"   // served from the result cache

@@ -26,9 +26,8 @@ type Totals struct {
 }
 
 // Replay reconstructs sweep totals from a stream of telemetry JSONL lines.
-// Like the runner's manifest reader, it is crash-tolerant: unparsable lines
-// (at worst the torn final line of a crashed writer) are skipped, not
-// fatal. The returned event count includes only parsed events.
+// It is crash-tolerant: unparsable lines (at worst the torn final line of
+// a crashed writer) are skipped, not fatal. The returned event count includes only parsed events.
 func Replay(r io.Reader) (Totals, int, error) {
 	var t Totals
 	n := 0

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -213,9 +214,41 @@ func TestChaosParentDeadlineClassifiedCanceled(t *testing.T) {
 	}
 }
 
+// readJournal loads every event of a sweep's telemetry journal.
+func readJournal(t *testing.T, path string) []sweep.Event {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []sweep.Event
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var ev sweep.Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
+// journalCounts tallies sweep_start events and done events by outcome.
+func journalCounts(evs []sweep.Event) map[string]int {
+	counts := map[string]int{}
+	for _, ev := range evs {
+		switch ev.Type {
+		case sweep.EventSweepStart:
+			counts[ev.Type]++
+		case sweep.EventDone:
+			counts[ev.Type+"/"+ev.Outcome]++
+		}
+	}
+	return counts
+}
+
 // TestChaosMidSweepCancelResume: cancellation mid-sweep drains, leaves a
-// manifest + cache, and a rerun resumes with zero re-simulated completed
-// jobs.
+// telemetry journal + cache, and a rerun resumes with zero re-simulated
+// completed jobs.
 func TestChaosMidSweepCancelResume(t *testing.T) {
 	var mu sync.Mutex
 	simulated := map[int64]int{}
@@ -234,7 +267,7 @@ func TestChaosMidSweepCancelResume(t *testing.T) {
 	// First sweep: an operator interrupt fires after two jobs completed.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := Options{Parallel: 1, Cache: cache, OnJobDone: func(done, total int, j Job, cached bool, err error) {
+	opts := Options{Parallel: 1, Cache: cache, Telemetry: sweep.New(), OnJobDone: func(done, total int, j Job, cached bool, err error) {
 		if done == 2 {
 			cancel()
 		}
@@ -244,23 +277,16 @@ func TestChaosMidSweepCancelResume(t *testing.T) {
 		t.Fatalf("interrupted sweep stats: %s (err=%v)", st, err)
 	}
 
-	// The manifest must already record every terminal state.
-	path := ManifestPath(cache.Dir(), mustSweepID(t, jobs))
-	recs, rerr := ReadManifest(path)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	counts := map[string]int{}
-	for _, r := range recs {
-		counts[r.Kind+"/"+r.State]++
-	}
-	if counts["sweep/"] != 1 || counts["job/"+StateDone] != 2 || counts["job/"+StateCanceled] != 3 {
-		t.Fatalf("manifest after interrupt: %v", counts)
+	// The journal must already record every terminal state.
+	path := TelemetryPath(cache.Dir(), mustSweepID(t, jobs))
+	counts := journalCounts(readJournal(t, path))
+	if counts[sweep.EventSweepStart] != 1 || counts["done/"+sweep.OutcomeDone] != 2 || counts["done/"+sweep.OutcomeCanceled] != 3 {
+		t.Fatalf("journal after interrupt: %v", counts)
 	}
 
 	// Resume: same sweep, fresh context — completed jobs come from the
 	// cache, nothing is re-simulated.
-	_, st2, err2 := Run(context.Background(), Options{Parallel: 1, Cache: cache}, jobs)
+	_, st2, err2 := Run(context.Background(), Options{Parallel: 1, Cache: cache, Telemetry: sweep.New()}, jobs)
 	if err2 != nil {
 		t.Fatal(err2)
 	}
@@ -273,27 +299,28 @@ func TestChaosMidSweepCancelResume(t *testing.T) {
 		}
 	}
 
-	// The resumed run appended its own header and records to the same file.
-	recs, rerr = ReadManifest(path)
-	if rerr != nil {
-		t.Fatal(rerr)
+	// The resumed run appended its own sweep_start and events to the same
+	// file, and the whole journal replays to both runs' stats combined.
+	counts = journalCounts(readJournal(t, path))
+	if counts[sweep.EventSweepStart] != 2 || counts["done/"+sweep.OutcomeCached] != 2 || counts["done/"+sweep.OutcomeDone] != 5 {
+		t.Fatalf("journal after resume: %v", counts)
 	}
-	counts = map[string]int{}
-	for _, r := range recs {
-		counts[r.Kind+"/"+r.State]++
-	}
-	if counts["sweep/"] != 2 || counts["job/"+StateCached] != 2 || counts["job/"+StateDone] != 5 {
-		t.Fatalf("manifest after resume: %v", counts)
+	var both Stats
+	both.Add(st)
+	both.Add(st2)
+	if got := replayTotals(t, path); got != both {
+		t.Fatalf("replayed totals diverge:\n  replay: %s\n  stats:  %s", got, both)
 	}
 }
 
-// TestChaosManifestStates: panic and timeout jobs land in the manifest
-// with their own states and the terminal error text.
+// TestChaosManifestStates: panic and timeout jobs land in the telemetry
+// journal with their own outcomes, attempt counts and the terminal error
+// text.
 func TestChaosManifestStates(t *testing.T) {
 	stubSim(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, *sim.Summary, error) {
 		switch cfg.Seed {
 		case seedPanic:
-			panic("manifest chaos")
+			panic("journal chaos")
 		case seedHang:
 			return stubHang(ctx)
 		default:
@@ -304,61 +331,25 @@ func TestChaosManifestStates(t *testing.T) {
 	jobs := []Job{stubJob("ok", seedOK), stubJob("boom", seedPanic), stubJob("wedge", seedHang)}
 	_, _, err := Run(context.Background(), Options{
 		Parallel: 1, KeepGoing: true, Cache: cache, JobTimeout: 30 * time.Millisecond,
+		Telemetry: sweep.New(),
 	}, jobs)
 	if err == nil {
 		t.Fatal("want error")
 	}
-	recs, rerr := ReadManifest(ManifestPath(cache.Dir(), mustSweepID(t, jobs)))
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	byKey := map[string]ManifestRecord{}
-	for _, r := range recs {
-		if r.Kind == "job" {
-			byKey[r.Key] = r
+	byKey := map[string]sweep.Event{}
+	for _, ev := range readJournal(t, TelemetryPath(cache.Dir(), mustSweepID(t, jobs))) {
+		if ev.Type == sweep.EventDone {
+			byKey[ev.Key] = ev
 		}
 	}
-	if byKey["ok"].State != StateDone || byKey["boom"].State != StatePanic || byKey["wedge"].State != StateTimeout {
-		t.Fatalf("manifest states: %+v", byKey)
+	if byKey["ok"].Outcome != sweep.OutcomeDone || byKey["boom"].Outcome != sweep.OutcomePanic || byKey["wedge"].Outcome != sweep.OutcomeTimeout {
+		t.Fatalf("journal outcomes: %+v", byKey)
 	}
-	if !strings.Contains(byKey["boom"].Error, "manifest chaos") {
+	if !strings.Contains(byKey["boom"].Error, "journal chaos") {
 		t.Errorf("panic record should carry the panic message: %q", byKey["boom"].Error)
 	}
-	if byKey["wedge"].Attempts != 1 || byKey["boom"].Attempts != 1 {
-		t.Errorf("single-attempt jobs must record Attempts=1: %+v", byKey)
-	}
-}
-
-// TestManifestTornLineTolerated: a crash mid-append tears at most the
-// final line; ReadManifest returns every complete record before it.
-func TestManifestTornLineTolerated(t *testing.T) {
-	cache := NewCache(t.TempDir())
-	jobs := []Job{stubJob("a", seedOK)}
-	m, err := OpenManifest(cache.Dir(), mustSweepID(t, jobs), len(jobs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AppendJob(jobs[0], outcome{attempts: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the torn write of a crashed process.
-	f, err := os.OpenFile(m.Path(), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"kind":"job","key":"torn`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	recs, err := ReadManifest(m.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[0].Kind != "sweep" || recs[1].State != StateDone {
-		t.Fatalf("torn manifest records: %+v", recs)
+	if byKey["wedge"].Attempt != 1 || byKey["boom"].Attempt != 1 {
+		t.Errorf("single-attempt jobs must record attempt 1: %+v", byKey)
 	}
 }
 
@@ -384,8 +375,8 @@ func TestStatsRegisterObs(t *testing.T) {
 }
 
 // TestUnhashableSweepSkipsJournals: a job set with an unhashable spec has
-// no sweep identity, so Run writes no manifest or telemetry journal (two
-// such sets must never share one) while the bad job still fails with its
+// no sweep identity, so Run writes no telemetry journal (two such sets
+// must never share one) while the bad job still fails with its
 // spec error and the rest of the sweep runs.
 func TestUnhashableSweepSkipsJournals(t *testing.T) {
 	stubSim(t, func(_ context.Context, cfg sim.Config) (*sim.Result, *sim.Summary, error) {
@@ -404,9 +395,7 @@ func TestUnhashableSweepSkipsJournals(t *testing.T) {
 	if res["ok"] == nil || st.Simulated != 1 || st.Failures != 1 {
 		t.Fatalf("stats: %s (results %v)", st, res)
 	}
-	for _, pat := range []string{"sweep-*.manifest", "sweep-*.telemetry.jsonl"} {
-		if m, _ := filepath.Glob(filepath.Join(dir, pat)); len(m) != 0 {
-			t.Fatalf("unhashable sweep wrote journal %v", m)
-		}
+	if m, _ := filepath.Glob(filepath.Join(dir, "sweep-*")); len(m) != 0 {
+		t.Fatalf("unhashable sweep wrote journal %v", m)
 	}
 }

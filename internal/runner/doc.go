@@ -5,9 +5,11 @@
 // and each simulation itself is single-threaded. Sweeps built on it are
 // resumable for free: every completed job leaves a cache entry under its
 // spec hash, so re-invoking an interrupted sweep re-simulates only the
-// missing hashes; a crash-safe JSONL manifest beside the cache, named by
-// the job set's runspec.SweepID, records each job's terminal state for
-// post-mortems.
+// missing hashes. With a cache and an Options.Telemetry collector, the
+// sweep's one journal — an append-only JSONL telemetry file beside the
+// cache, named by the job set's runspec.SweepID — records each job's
+// lifecycle and terminal state for post-mortems, and sweep.Replay folds it
+// back to exact Stats.
 //
 // Failure handling follows one taxonomy end to end: recovered panics and
 // per-job deadline expiries are retryable (Options.Retries, deterministic
@@ -21,9 +23,9 @@
 //
 // Concurrency contract: Run owns the outcome slice and Stats until it
 // returns; workers write disjoint outcome entries and serialize every
-// shared side effect (done counting, OnJobDone, manifest appends) under one
-// mutex. Observer/AfterSim hooks run on worker goroutines, one job at a
-// time per worker, and must not share mutable state across jobs unless
-// they synchronize it themselves. The contract is enforced by
+// shared side effect (done counting, OnJobDone, telemetry done events)
+// under one mutex. Observer/AfterSim hooks run on worker goroutines, one
+// job at a time per worker, and must not share mutable state across jobs
+// unless they synchronize it themselves. The contract is enforced by
 // `go test -race ./internal/runner/...` in scripts/check.sh.
 package runner

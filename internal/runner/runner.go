@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -52,10 +53,6 @@ type Options struct {
 	// parallelism axis; each run ticks its DRAM channels serially.
 	Parallel int
 	// Cache, when non-nil, serves hits and stores results by spec hash.
-	// A cache also enables the sweep manifest: an append-only JSONL file
-	// <cache-dir>/sweep-<hash>.manifest recording each job's terminal
-	// state as it happens, so an interrupted or crashed sweep is
-	// diagnosable from disk.
 	Cache *Cache
 	// KeepGoing runs every job even after failures; by default the first
 	// failure cancels the queued remainder (in-flight simulations finish).
@@ -104,10 +101,12 @@ type Options struct {
 	// Telemetry, when non-nil, receives a job-lifecycle event at every
 	// transition: queued → started → attempt N → cache hit/miss →
 	// panic/timeout/retry → terminal outcome. When a Cache is also
-	// configured, the events are journaled to
-	// <cache-dir>/sweep-<hash>.telemetry.jsonl beside the sweep manifest
-	// (append-only JSONL, replayable with sweep.Replay). A nil collector
-	// costs one nil check per transition and changes nothing else.
+	// configured, the events are journaled to TelemetryPath — the sweep's
+	// one on-disk journal, recording each job's key, hash, terminal
+	// outcome, attempts and error text as it happens, so an interrupted or
+	// crashed sweep is diagnosable from disk (append-only JSONL, replayable
+	// with sweep.Replay). A nil collector costs one nil check per
+	// transition and changes nothing else.
 	Telemetry *sweep.Collector
 }
 
@@ -146,6 +145,26 @@ type outcome struct {
 	corrupt  int
 }
 
+// outcomeState classifies a terminal outcome into the telemetry journal's
+// sweep.Outcome* vocabulary.
+func outcomeState(out outcome) string {
+	var pe *PanicError
+	switch {
+	case out.err == nil && out.cached:
+		return sweep.OutcomeCached
+	case out.err == nil:
+		return sweep.OutcomeDone
+	case canceledOutcome(out.err):
+		return sweep.OutcomeCanceled
+	case errors.Is(out.err, ErrJobTimeout):
+		return sweep.OutcomeTimeout
+	case errors.As(out.err, &pe):
+		return sweep.OutcomePanic
+	default:
+		return sweep.OutcomeFailed
+	}
+}
+
 // canceledOutcome reports whether err means "the batch stopped before this
 // job ran": both context.Canceled and a parent-context deadline classify
 // as canceled, distinct from the per-job timeout (ErrJobTimeout), which is
@@ -182,33 +201,21 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 
 	outcomes := make([]outcome, len(jobs))
 
-	// The sweep journals are named by the job set's content. A set with an
-	// unhashable spec has no identity, so it gets no journals; that job
-	// still fails with its spec error below.
-	var sweepID string
-	if opts.Cache != nil {
-		if id, err := runspec.SweepID(jobs); err == nil {
-			sweepID = id
-		}
-	}
-	journal := sweepID != ""
-	var manifest *Manifest
-	var manifestErr error
-	if journal {
-		manifest, manifestErr = OpenManifest(opts.Cache.Dir(), sweepID, len(jobs))
-	}
-
-	// Telemetry: journal lifecycle events beside the manifest when both a
-	// collector and a cache are configured, and record the whole job set as
-	// queued before any worker starts.
+	// Telemetry: journal lifecycle events when both a collector and a
+	// cache are configured, and record the whole job set as queued before
+	// any worker starts. The journal is named by the job set's content; a
+	// set with an unhashable spec has no identity, so it gets no journal
+	// (that job still fails with its spec error below).
 	tel := opts.Telemetry
 	var telFile *os.File
 	var telErr error
 	if tel != nil {
-		if journal {
-			telFile, telErr = openTelemetry(opts.Cache.Dir(), sweepID)
-			if telErr == nil {
-				tel.AttachSink(telFile)
+		if opts.Cache != nil {
+			if id, err := runspec.SweepID(jobs); err == nil {
+				telFile, telErr = openTelemetry(opts.Cache.Dir(), id)
+				if telErr == nil {
+					tel.AttachSink(telFile)
+				}
 			}
 		}
 		tel.SweepStart(len(jobs))
@@ -223,18 +230,13 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 	// multi-thousand-job sweep never materializes one goroutine per job.
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	var mu sync.Mutex // serializes done counting, OnJobDone, manifest appends
+	var mu sync.Mutex // serializes done counting, OnJobDone, telemetry done events
 	done := 0
 	report := func(i int) {
 		mu.Lock()
 		defer mu.Unlock()
 		done++
 		out := outcomes[i]
-		if manifest != nil {
-			if err := manifest.AppendJob(jobs[i], out); err != nil && manifestErr == nil {
-				manifestErr = err
-			}
-		}
 		if opts.Stats != nil {
 			opts.Stats.accumulate(out)
 		}
@@ -292,14 +294,6 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 	if stats.Canceled > 0 {
 		errs = append(errs, fmt.Errorf("runner: %d jobs canceled before running (completed results are cached; rerun to resume)", stats.Canceled))
 	}
-	if manifest != nil {
-		if err := manifest.Close(); err != nil && manifestErr == nil {
-			manifestErr = err
-		}
-	}
-	if manifestErr != nil {
-		errs = append(errs, fmt.Errorf("runner: sweep manifest: %w", manifestErr))
-	}
 	if tel != nil {
 		tel.SweepEnd()
 		tel.AttachSink(nil)
@@ -321,6 +315,12 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 		}
 	}
 	return results, stats, errors.Join(errs...)
+}
+
+// TelemetryPath returns the job-lifecycle telemetry journal under dir for
+// the sweep whose runspec.SweepID is sweepID.
+func TelemetryPath(dir, sweepID string) string {
+	return filepath.Join(dir, "sweep-"+sweepID+".telemetry.jsonl")
 }
 
 // openTelemetry opens (creating dir as needed) the append-only telemetry

@@ -13,7 +13,7 @@ import (
 
 // replayTotals converts sweep.Totals into a Stats for direct comparison
 // against the runner's returned counters — the two vocabularies are defined
-// to map one-for-one (outcomeState is shared by the manifest and telemetry).
+// to map one-for-one (outcomeState classifies into sweep.Outcome*).
 func replayTotals(t *testing.T, path string) Stats {
 	t.Helper()
 	tot, n, err := sweep.ReplayFile(path)
