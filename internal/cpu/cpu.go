@@ -175,6 +175,58 @@ func (c *Core) AddIdleCycles(n uint64) {
 	}
 }
 
+// RetireSpan returns how many of the next CPU cycles would, if no read
+// completes meanwhile, do nothing but retire instructions: no trace pull,
+// no issue attempt, no stall and no finish. The simulator uses it to
+// fast-forward compute gaps with RetireCycles. It may discard completed
+// reads from the flight ring, as Cycle does.
+func (c *Core) RetireSpan() uint64 {
+	if !c.havePend && c.opsIssued < c.opsTarget && !c.exhausted {
+		return 0 // the next cycle pulls from the trace
+	}
+	bound := c.retireBound()
+	if bound <= c.retired || bound == math.MaxUint64 {
+		// A stall (a blocked core always stalls), or nothing left to wait
+		// for: the core finishes, or has finished.
+		return 0
+	}
+	// last is the highest retired count at which a cycle still only
+	// retires: below the bound, and with the unissued op still outside the
+	// ROB window (Cycle attempts the issue once it is inside).
+	last := bound - 1
+	if c.havePend {
+		rob := uint64(c.cfg.ROBSize)
+		if c.pendingIdx < c.retired+rob {
+			return 0
+		}
+		last = min(last, c.pendingIdx-rob)
+	}
+	return (last-c.retired)/uint64(c.cfg.Width) + 1
+}
+
+// RetireCycles applies n CPU cycles arithmetically, exactly as n calls to
+// Cycle would when n <= RetireSpan(). Like AddIdleCycles it is a no-op on a
+// done core.
+func (c *Core) RetireCycles(n uint64) {
+	if !c.done {
+		c.retired = min(c.retired+n*uint64(c.cfg.Width), c.retireBound())
+	}
+}
+
+// retireBound returns the instruction index retirement cannot pass until a
+// read completes or the pending op issues: the oldest incomplete read or
+// the unissued op, whichever comes first (math.MaxUint64 if neither).
+func (c *Core) retireBound() uint64 {
+	bound, ok := c.oldestIncomplete()
+	if !ok {
+		bound = math.MaxUint64
+	}
+	if c.havePend {
+		bound = min(bound, c.pendingIdx)
+	}
+	return bound
+}
+
 // loadPending pulls the next memory op from the trace, assigning its
 // instruction index (after Gap non-memory instructions).
 func (c *Core) loadPending() {
@@ -248,17 +300,7 @@ func (c *Core) Cycle(now uint64, issue IssueFunc) (active bool, err error) {
 
 	// Retire: up to Width instructions, not past the oldest incomplete
 	// read and not past an unissued (stalled) memory op.
-	limit := c.retired + uint64(c.cfg.Width)
-	bound := uint64(math.MaxUint64)
-	if idx, ok := c.oldestIncomplete(); ok {
-		bound = idx
-	}
-	if c.havePend && c.pendingIdx < bound {
-		bound = c.pendingIdx
-	}
-	if limit > bound {
-		limit = bound
-	}
+	limit := min(c.retired+uint64(c.cfg.Width), c.retireBound())
 	if limit == c.retired {
 		c.StallCycles.Inc()
 		// If the issue side cannot move either — the trace is exhausted, or

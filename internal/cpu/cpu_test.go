@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -192,4 +194,118 @@ func TestZeroConfigUsesDefaults(t *testing.T) {
 	c := NewCore(0, Config{}, trace.NewSliceSource(recs(1, 0, mem.Read)), 1)
 	f := newFakeMemory(1)
 	run(t, c, f, 100)
+}
+
+// randomCore drives a core with a random pipeline shape through a random
+// prefix of cycles (random gaps, read/write mix, backpressure and
+// completion order) and returns it with the last cycle number. The same
+// seed always yields an identical core, so two calls give twins.
+func randomCore(t *testing.T, seed int64) (*Core, uint64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cfg := Config{ROBSize: 1 + rng.Intn(96), Width: 1 + rng.Intn(6)}
+	rs := make([]trace.Record, 1+rng.Intn(40))
+	for i := range rs {
+		gap := uint32(rng.Intn(8))
+		if rng.Intn(3) == 0 {
+			gap = uint32(rng.Intn(2000))
+		}
+		typ := mem.Read
+		if rng.Intn(3) == 0 {
+			typ = mem.Write
+		}
+		rs[i] = trace.Record{Gap: gap, Type: typ, VAddr: mem.VirtAddr(i * 64)}
+	}
+	c := NewCore(0, cfg, trace.NewSliceSource(rs), uint64(1+rng.Intn(len(rs)+4)))
+	var inflight []uint64
+	var nextToken uint64
+	issue := func(_ int, rec trace.Record) (uint64, bool, error) {
+		if rng.Intn(4) == 0 {
+			return 0, false, nil
+		}
+		if rec.Type == mem.Write {
+			return 0, true, nil
+		}
+		nextToken++
+		inflight = append(inflight, nextToken)
+		return nextToken, true, nil
+	}
+	var now uint64
+	for steps := uint64(rng.Intn(600)); now < steps && !c.Done(); {
+		now++
+		for i := 0; i < len(inflight); {
+			if rng.Intn(10) == 0 {
+				c.OnComplete(inflight[i])
+				inflight = append(inflight[:i], inflight[i+1:]...)
+			} else {
+				i++
+			}
+		}
+		if _, err := c.Cycle(now, issue); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c, now
+}
+
+// TestRetireCyclesMatchesCycle checks the compute-gap fast-forward against
+// the per-cycle model: from random pipeline states, RetireCycles(n) for
+// every n <= RetireSpan() leaves the core exactly as n Cycle calls would,
+// those calls only retire (they never reach the memory system), and the
+// cycle after the span does something else.
+func TestRetireCyclesMatchesCycle(t *testing.T) {
+	noIssue := func(int, trace.Record) (uint64, bool, error) {
+		t.Fatal("a cycle inside the retire span attempted an issue")
+		return 0, false, nil
+	}
+	var withSpan int
+	for seed := int64(1); seed <= 400; seed++ {
+		probe, now := randomCore(t, seed)
+		span := probe.RetireSpan()
+		if span > 0 {
+			withSpan++
+		}
+		for n := uint64(0); n <= span; n++ {
+			if n > 40 && n != span {
+				n = span // long spans: check the prefix and the whole span
+			}
+			fast, _ := randomCore(t, seed)
+			slow, _ := randomCore(t, seed)
+			fast.RetireSpan()
+			slow.RetireSpan()
+			fast.RetireCycles(n)
+			for i := uint64(1); i <= n; i++ {
+				before, stalls := slow.Retired(), slow.StallCycles.Value()
+				active, err := slow.Cycle(now+i, noIssue)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !active || slow.Retired() == before || slow.StallCycles.Value() != stalls || slow.Done() {
+					t.Fatalf("seed %d: cycle %d of a %d-cycle span did more than retire", seed, i, span)
+				}
+			}
+			if !reflect.DeepEqual(fast, slow) {
+				t.Fatalf("seed %d: RetireCycles(%d) diverged from %d Cycle calls\nfast: %+v\nslow: %+v", seed, n, n, fast, slow)
+			}
+		}
+		// The span is tight: the next cycle pulls, issues, stalls or
+		// finishes.
+		if probe.Done() {
+			continue
+		}
+		probe.RetireCycles(span)
+		issued := false
+		record := func(int, trace.Record) (uint64, bool, error) { issued = true; return 0, false, nil }
+		havePend, exhausted, stalls := probe.havePend, probe.exhausted, probe.StallCycles.Value()
+		if _, err := probe.Cycle(now+span+1, record); err != nil {
+			t.Fatal(err)
+		}
+		if !issued && !probe.Done() && probe.StallCycles.Value() == stalls &&
+			probe.havePend == havePend && probe.exhausted == exhausted {
+			t.Fatalf("seed %d: cycle after a %d-cycle span only retired; the span is not tight", seed, span)
+		}
+	}
+	if withSpan < 50 {
+		t.Fatalf("only %d of 400 random states had a retire span; the generator lost coverage", withSpan)
+	}
 }

@@ -30,3 +30,12 @@ func benchScheme(b *testing.B, scheme, bench string) {
 func BenchmarkSimNonSecure(b *testing.B) { benchScheme(b, "nonsecure", "pr") }
 func BenchmarkSimSynergy(b *testing.B)   { benchScheme(b, "synergy", "pr") }
 func BenchmarkSimITESP(b *testing.B)     { benchScheme(b, "itesp", "pr") }
+
+// BenchmarkSimLowMPKI times low-intensity runs, whose cores spend most
+// cycles retiring the compute gaps between rare memory operations: the
+// case the fast-forward through compute gaps targets.
+func BenchmarkSimLowMPKI(b *testing.B) {
+	for _, bench := range []string{"ep", "perlbench"} {
+		b.Run(bench, func(b *testing.B) { benchScheme(b, "itesp", bench) })
+	}
+}

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -16,10 +19,10 @@ import (
 // testdata. They cover the four scheme families the hot loop specializes
 // for (VAULT, Synergy/Morphable, ITESP, isolation), the two post-paper
 // backend families with structurally different traffic (SERVAS treeless
-// MACs, TME-Box key domains), plus a DDR4 run (3:1 CPU:DRAM clock ratio)
-// and an LLC-filtered run, so any change to the tick path, token routing,
-// or idle fast-forward that shifts simulated time by even one cycle fails
-// the comparison.
+// MACs, TME-Box key domains), plus a DDR4 run (3:1 CPU:DRAM clock ratio),
+// an LLC-filtered run and a low-MPKI (ep) run, so any change to the tick
+// path, token routing, or idle fast-forward that shifts simulated time by
+// even one cycle fails the comparison.
 func goldenConfigs(t *testing.T) map[string]Config {
 	t.Helper()
 	spec, err := workload.ByName("mcf")
@@ -48,6 +51,15 @@ func goldenConfigs(t *testing.T) map[string]Config {
 	llc.FilterLLC = true
 	llc.LLCMBPerCore = 1
 	cfgs["vault+llc"] = llc
+	// A low-MPKI run: cores spend long compute gaps only retiring, which
+	// the idle fast-forward covers in bulk.
+	ep := base
+	ep.SchemeName = "itesp"
+	ep.Benchmark, err = workload.ByName("ep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs["itesp+ep"] = ep
 	return cfgs
 }
 
@@ -111,31 +123,111 @@ func TestGoldenCycleEquivalence(t *testing.T) {
 
 // TestIdleSkipEquivalence runs representative configs twice in-process —
 // fast-forwarding and straight-line (DisableIdleSkip) — and requires the
-// full summaries to match exactly. Together with the pinned goldens this
-// proves the optimized loop, with and without skipping, reproduces the
-// pre-optimization simulator cycle for cycle.
+// full summaries, the final DRAM cycle and the per-core CPU counters to
+// match exactly. Together with the pinned goldens this proves the
+// optimized loop, with and without skipping, reproduces the
+// pre-optimization simulator cycle for cycle. The low-MPKI cases cover the
+// fast-forward through compute gaps, where cores keep retiring while the
+// loop skips; one adds a fault campaign (its wakes clamp the skip) and one
+// an epoch series (epoch boundaries chunk it).
 func TestIdleSkipEquivalence(t *testing.T) {
-	cfgs := goldenConfigs(t)
-	for _, name := range []string{"itesp", "vault+llc", "syn128iso"} {
-		cfg, ok := cfgs[name]
+	type skipCase struct {
+		name  string
+		cfg   Config
+		epoch uint64 // obs.Series interval; 0 = no series
+	}
+	var cases []skipCase
+	golden := goldenConfigs(t)
+	for _, name := range []string{"itesp", "vault+llc", "syn128iso", "itesp+ep"} {
+		cfg, ok := golden[name]
 		if !ok {
 			t.Fatalf("missing golden config %q", name)
 		}
-		fast, err := Run(cfg)
+		cases = append(cases, skipCase{name: name, cfg: cfg})
+	}
+	lowMPKI := func(bench, scheme string, ddr4 bool) Config {
+		spec, err := workload.ByName(bench)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		cfg.DisableIdleSkip = true
-		slow, err := Run(cfg)
+		return Config{SchemeName: scheme, Benchmark: spec, Cores: 2, Channels: 1,
+			OpsPerCore: 1500, Seed: 5, DDR4: ddr4}
+	}
+	for _, bench := range []string{"ep", "perlbench"} {
+		for _, scheme := range []string{"nonsecure", "itesp"} {
+			for _, ddr4 := range []bool{false, true} {
+				name := bench + "/" + scheme
+				if ddr4 {
+					name += "+ddr4"
+				}
+				cases = append(cases, skipCase{name: name, cfg: lowMPKI(bench, scheme, ddr4)})
+			}
+		}
+	}
+	faulted := lowMPKI("ep", "itesp", false)
+	faulted.Faults = fault.Config{N: 8, Kind: "chip", Seed: 17,
+		StartCycle: 2000, Interval: 40_000, SpanBlocks: 256, ScrubInterval: 300}
+	cases = append(cases,
+		skipCase{name: "ep/itesp+faults", cfg: faulted},
+		skipCase{name: "perlbench/itesp+series", cfg: lowMPKI("perlbench", "itesp", false), epoch: 25_000})
+
+	run := func(c skipCase, skip bool) (*Result, *obs.Observer) {
+		cfg := c.cfg
+		cfg.DisableIdleSkip = !skip
+		ob := obs.New(obs.Config{Metrics: true, EpochCycles: c.epoch})
+		cfg.Obs = ob
+		res, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("%s (no skip): %v", name, err)
+			t.Fatalf("%s (skip=%v): %v", c.name, skip, err)
 		}
+		return res, ob
+	}
+	// coreCounters picks the per-core CPU counters out of a metrics
+	// snapshot: the stall and retirement totals the fast-forward charges
+	// arithmetically.
+	coreCounters := func(ob *obs.Observer) map[string]float64 {
+		m := map[string]float64{}
+		for _, s := range ob.Registry.Snapshot().Samples {
+			if s.Name == "cpu_stall_cycles_total" || s.Name == "cpu_retired_instructions" {
+				m[s.Name+"/core"+s.Labels["core"]] = s.Value
+			}
+		}
+		return m
+	}
+	for _, c := range cases {
+		fast, fob := run(c, true)
+		slow, sob := run(c, false)
 		fs, ss := fast.Summarize(), slow.Summarize()
 		if fs.Cycles != ss.Cycles {
-			t.Errorf("%s: Cycles skip=%d noskip=%d", name, fs.Cycles, ss.Cycles)
+			t.Errorf("%s: Cycles skip=%d noskip=%d", c.name, fs.Cycles, ss.Cycles)
 		}
 		if !reflect.DeepEqual(fs, ss) {
-			t.Errorf("%s: summaries diverge with idle skip\n skip: %+v\nnoskip: %+v", name, fs, ss)
+			t.Errorf("%s: summaries diverge with idle skip\n skip: %+v\nnoskip: %+v", c.name, fs, ss)
+		}
+		if fn, sn := fast.Memory.Now(), slow.Memory.Now(); fn != sn {
+			t.Errorf("%s: final DRAM cycle skip=%d noskip=%d", c.name, fn, sn)
+		}
+		fc, sc := coreCounters(fob), coreCounters(sob)
+		if len(fc) != 2*c.cfg.Cores {
+			t.Errorf("%s: %d per-core counters in the snapshot, want %d", c.name, len(fc), 2*c.cfg.Cores)
+		}
+		if !reflect.DeepEqual(fc, sc) {
+			t.Errorf("%s: per-core counters diverge with idle skip\n skip: %v\nnoskip: %v", c.name, fc, sc)
+		}
+		if c.epoch > 0 {
+			var fcsv, scsv bytes.Buffer
+			if err := fob.Series.WriteCSV(&fcsv); err != nil {
+				t.Fatal(err)
+			}
+			if err := sob.Series.WriteCSV(&scsv); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fcsv.Bytes(), scsv.Bytes()) {
+				t.Errorf("%s: epoch series diverge with idle skip", c.name)
+			}
+		}
+		if c.cfg.Faults.Enabled() && (fs.Faults == nil || fs.Faults.Injected == 0) {
+			t.Errorf("%s: campaign injected no faults: %+v", c.name, fs.Faults)
 		}
 	}
 }

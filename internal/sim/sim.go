@@ -7,6 +7,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/addrmap"
@@ -40,7 +41,10 @@ type Config struct {
 	// OpsPerCore is the number of memory operations simulated per core
 	// (the paper uses 5M; experiments here default lower for runtime).
 	OpsPerCore uint64
-	// WarmupOps per core are executed before stats collection.
+	// WarmupOps are extra memory operations per core, added to
+	// OpsPerCore: each core runs OpsPerCore+WarmupOps operations. No
+	// statistic is reset after them, so the result is the same as a run
+	// with OpsPerCore+WarmupOps and no warm-up.
 	WarmupOps uint64
 	// Seed diversifies the per-core generators.
 	Seed int64
@@ -75,9 +79,11 @@ type Config struct {
 	// change drops it there.
 	TickWorkers int
 	// DisableIdleSkip forces the straight-line tick-by-tick loop, never
-	// fast-forwarding through idle periods. Results are bit-identical with
-	// and without skipping (the golden equivalence test asserts this); the
-	// knob exists for that comparison and for debugging.
+	// fast-forwarding: neither through idle periods nor through compute
+	// gaps in which the cores only retire instructions. Results are
+	// bit-identical with and without skipping (the idle-skip equivalence
+	// test asserts this); the knob exists for that comparison and for
+	// debugging.
 	DisableIdleSkip bool
 	// Faults configures the deterministic fault-injection campaign. The
 	// zero value disables it entirely, leaving the run bit-identical to a
@@ -88,7 +94,8 @@ type Config struct {
 
 	// Scheme optionally overrides SchemeName with an explicit scheme.
 	Scheme *core.Scheme
-	// Sources optionally overrides the per-core trace sources.
+	// Sources optionally overrides the per-core trace sources: one
+	// non-nil source per core.
 	Sources []trace.Source
 
 	// Obs optionally attaches an observability bundle (metrics registry,
@@ -310,6 +317,16 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("sim: cores must be positive")
 	}
+	if cfg.Sources != nil {
+		if len(cfg.Sources) != cfg.Cores {
+			return nil, fmt.Errorf("sim: %d trace sources for %d cores", len(cfg.Sources), cfg.Cores)
+		}
+		for i, src := range cfg.Sources {
+			if src == nil {
+				return nil, fmt.Errorf("sim: trace source %d is nil", i)
+			}
+		}
+	}
 	if cfg.TickWorkers > 1 {
 		return nil, fmt.Errorf("sim: TickWorkers=%d: channel-parallel DRAM ticking was removed", cfg.TickWorkers)
 	}
@@ -451,6 +468,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	var wd drainWatchdog
 	var tokenBuf []uint64
+	// coreActive[i] records whether core i's last Cycle call changed its
+	// state. A core whose last call did not is frozen until a completion
+	// or a change in the memory system's backpressure; only an active core
+	// can keep retiring through a fast-forward.
+	coreActive := make([]bool, len(cores))
 	for {
 		if cancelable {
 			if sinceCancelCheck++; sinceCancelCheck >= cancelStride {
@@ -482,7 +504,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			cores[core.TokenCore(tok)].OnComplete(tok)
 			progressed = true
 		}
-		coresActive := false
+		opsBefore := engine.Stats.DataOps()
 		// A core blocked on memory cannot unblock within the burst
 		// (completions are delivered only before it, and only OnComplete
 		// clears the flag), so when every core is blocked the whole burst
@@ -503,7 +525,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		for i := 0; !allBlocked && i < cpuPerDRAM; i++ {
 			cpuCycle++
-			for _, c := range cores {
+			for j, c := range cores {
 				// Blocked cores inside a mixed burst still charge their
 				// stalls cycle by cycle (another core's issue cannot unblock
 				// them, but the loop order is part of the pinned behavior).
@@ -516,7 +538,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				coresActive = coresActive || active
+				coreActive[j] = active
 				if c.Retired() != before {
 					progressed = true
 				}
@@ -535,13 +557,29 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 
-		// Idle fast-forward: this iteration delivered nothing, issued
-		// nothing, and changed no core state, so every following iteration
-		// repeats it exactly — except for stall/bus-busy counters and epoch
-		// boundaries, which advance arithmetically — until the next DRAM
-		// event. Skip to it in bulk (chunked at epoch boundaries so Series
-		// samples fire at identical cpuCycle values).
-		if cfg.DisableIdleSkip || engActive || coresActive || len(tokens) > 0 {
+		// Fast-forward: this iteration delivered nothing, accepted no op
+		// and left every core either frozen (its last Cycle changed no
+		// state) or only retiring, so every following iteration repeats it
+		// exactly — frozen cores charge stall cycles, retiring cores count
+		// down their compute gap, and stall/bus-busy counters and epoch
+		// boundaries advance arithmetically — until the next DRAM event,
+		// the next fault-campaign wake, or the first retiring core's next
+		// pull, issue attempt or stall. Skip there in bulk (chunked at
+		// epoch boundaries so Series samples fire at identical cpuCycle
+		// values). An accepted op rules the skip out: its arrival
+		// invalidates NextEvent's scan memo.
+		if cfg.DisableIdleSkip || engActive || len(tokens) > 0 || engine.Stats.DataOps() != opsBefore {
+			continue
+		}
+		span := uint64(math.MaxUint64)
+		for j, c := range cores {
+			if coreActive[j] && !c.Done() {
+				if span = min(span, c.RetireSpan()); span < uint64(cpuPerDRAM) {
+					break
+				}
+			}
+		}
+		if span < uint64(cpuPerDRAM) {
 			continue
 		}
 		next := dmem.NextEvent()
@@ -549,6 +587,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			// The fault campaign must act (injection or scrub) before the
 			// next DRAM event: clamp the skip so it fires on time.
 			next = fw
+		}
+		anyRetiring := span != math.MaxUint64
+		if anyRetiring {
+			next = min(next, dmem.Now()+span/uint64(cpuPerDRAM))
 		}
 		if next == ^uint64(0) || next <= dmem.Now() {
 			continue
@@ -567,14 +609,19 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			dmem.SkipTo(dmem.Now() + chunk)
 			cc := chunk * uint64(cpuPerDRAM)
 			cpuCycle += cc
-			for _, c := range cores {
-				c.AddIdleCycles(cc)
+			for j, c := range cores {
+				if coreActive[j] {
+					c.RetireCycles(cc)
+				} else {
+					c.AddIdleCycles(cc)
+				}
 			}
 			if series != nil && cpuCycle >= nextEpoch {
 				series.Sample(cpuCycle)
 				nextEpoch += series.Interval()
 			}
-			if err := wd.observe(false, chunk, allDone, cpuCycle, engine.Pending()); err != nil {
+			// Retirement is forward progress, as it is cycle by cycle.
+			if err := wd.observe(anyRetiring, chunk, allDone, cpuCycle, engine.Pending()); err != nil {
 				return nil, err
 			}
 			skip -= chunk

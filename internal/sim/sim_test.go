@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -343,5 +344,61 @@ func TestMEESchemeDeepTree(t *testing.T) {
 	// tree traffic (the motivation for VAULT, Section II-B).
 	if mee.MetaPerOp() <= vault.MetaPerOp() {
 		t.Fatalf("MEE metadata/op %.2f should exceed VAULT's %.2f", mee.MetaPerOp(), vault.MetaPerOp())
+	}
+}
+
+// TestSourcesMustMatchCores: explicit trace sources need one non-nil
+// source per core; anything else is a config error, not a panic.
+func TestSourcesMustMatchCores(t *testing.T) {
+	src := func() trace.Source { return trace.NewSliceSource(make([]trace.Record, 10)) }
+	for name, srcs := range map[string][]trace.Source{
+		"short": {src()},
+		"long":  {src(), src(), src()},
+		"empty": {},
+		"nil":   {src(), nil},
+	} {
+		cfg := quick("nonsecure", "lbm")
+		cfg.Sources = srcs
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "trace source") {
+			t.Errorf("%s: %d sources for %d cores: want a trace-source error, got %v", name, len(srcs), cfg.Cores, err)
+		}
+	}
+}
+
+// TestWarmupOpsAddToTarget pins what WarmupOps does today: the ops are
+// added to each core's target and no statistic is reset, so the run equals
+// one with OpsPerCore+WarmupOps. A real warm-up (stats reset after the
+// warm-up ops) must be a deliberate change that updates this test.
+func TestWarmupOpsAddToTarget(t *testing.T) {
+	warm := quick("itesp", "mcf")
+	warm.OpsPerCore = 1500
+	warm.WarmupOps = 500
+	plain := warm
+	plain.OpsPerCore = 2000
+	plain.WarmupOps = 0
+	a, err := Run(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Cycles != b.Cycles {
+		t.Errorf("Cycles: warm-up %d, plain %d", a.Cycles, b.Cycles)
+	}
+	if as, bs := a.Summarize(), b.Summarize(); !reflect.DeepEqual(as, bs) {
+		t.Errorf("summaries differ\nwarm-up: %+v\n  plain: %+v", as, bs)
+	}
+	if !reflect.DeepEqual(a.Engine.Stats, b.Engine.Stats) {
+		t.Errorf("engine stats differ\nwarm-up: %+v\n  plain: %+v", a.Engine.Stats, b.Engine.Stats)
+	}
+	if a.Memory.Now() != b.Memory.Now() {
+		t.Errorf("DRAM cycle: warm-up %d, plain %d", a.Memory.Now(), b.Memory.Now())
+	}
+	for c := 0; c < a.Memory.Config().Geom.Channels; c++ {
+		if as, bs := a.Memory.ChannelStats(c), b.Memory.ChannelStats(c); !reflect.DeepEqual(as, bs) {
+			t.Errorf("channel %d DRAM stats differ\nwarm-up: %+v\n  plain: %+v", c, as, bs)
+		}
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 func TestWatchdogDrainConvergence(t *testing.T) {
@@ -75,5 +78,38 @@ func TestWatchdogCountsSimulatedCycles(t *testing.T) {
 	}
 	if err := bulk.observe(false, 1, true, 0, 0); err == nil {
 		t.Fatal("bulk watchdog did not trip past the limit")
+	}
+}
+
+// TestWatchdogCountsRetirementInSkips is the compute-gap regression: a
+// core retiring a long gap makes progress every cycle, so a fast-forward
+// chunk in which it retires must reset the deadlock budget exactly as the
+// straight-line loop does. Each gap below lasts 62 500 DRAM cycles; the
+// shrunken budget is also below the spacing of the staggered per-rank
+// refreshes (~780 DRAM cycles on DDR3), which bounds each skip here.
+func TestWatchdogCountsRetirementInSkips(t *testing.T) {
+	old := deadlockLimit
+	deadlockLimit = 400
+	defer func() { deadlockLimit = old }()
+
+	var cycles [2]uint64
+	for i, noSkip := range []bool{false, true} {
+		recs := make([]trace.Record, 3)
+		for j := range recs {
+			recs[j] = trace.Record{Gap: 1_000_000, Type: mem.Read, VAddr: mem.VirtAddr(j * 4096)}
+		}
+		cfg := quick("nonsecure", "lbm")
+		cfg.Cores = 1
+		cfg.OpsPerCore = uint64(len(recs))
+		cfg.Sources = []trace.Source{trace.NewSliceSource(recs)}
+		cfg.DisableIdleSkip = noSkip
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("DisableIdleSkip=%v: %v", noSkip, err)
+		}
+		cycles[i] = r.Cycles
+	}
+	if cycles[0] != cycles[1] {
+		t.Fatalf("cycles skip=%d noskip=%d", cycles[0], cycles[1])
 	}
 }

@@ -1,10 +1,12 @@
 #!/bin/sh
 # Hot-loop benchmark harness: runs the allocation-free tick-path
-# microbenchmarks (engine, DRAM, integrity stores) and the reduced Figure 8
-# wall-clock benchmark, then writes BENCH_hotloop.json containing both the
-# frozen pre-optimization baseline (recorded on this repo immediately before
-# the hot-loop overhaul, same machine) and the numbers just measured, so the
-# speedup is machine-checkable from one file.
+# microbenchmarks (engine, DRAM, integrity stores), the end-to-end
+# simulator benchmarks (internal/sim) and the reduced Figure 8 wall-clock
+# benchmark, then writes BENCH_hotloop.json containing the frozen
+# pre-optimization baseline (recorded on this repo immediately before the
+# hot-loop overhaul, same machine), frozen before/after records of later
+# optimizations, and the numbers just measured, so each speedup is
+# machine-checkable from one file.
 #
 # Usage: scripts/bench.sh [full|smoke]
 #   full   default benchtime; stable numbers (~1 min)
@@ -33,7 +35,7 @@ trap 'rm -f "$raw"' EXIT
 
 # shellcheck disable=SC2086 # benchtime is intentionally word-split
 go test -run '^$' -bench . -benchmem $benchtime \
-	./internal/core ./internal/dram ./internal/integrity . | tee "$raw"
+	./internal/core ./internal/dram ./internal/integrity ./internal/sim . | tee "$raw"
 
 cpu="$(sed -n 's/^cpu: //p' "$raw" | head -1)"
 
@@ -111,6 +113,23 @@ done
       "BenchmarkCounterWrite": {"ns_per_op": 11.12},
       "BenchmarkVerifiedWrite": {"ns_per_op": 4375, "B_per_op": 2634, "allocs_per_op": 10},
       "BenchmarkVerifiedRead": {"ns_per_op": 2118, "B_per_op": 1904, "allocs_per_op": 7}
+    }
+  },
+  "compute_gap_fast_forward": {
+    "recorded": "sim.RunContext before (commit c432834) and after the idle fast-forward was extended to compute gaps in which cores only retire; min of 8 ABBA-interleaved trials at -benchtime 8x; 2-CPU Intel(R) Xeon(R) Processor host, go1.24.0",
+    "before": {
+      "BenchmarkSimLowMPKI/ep": {"ns_per_op": 114645268},
+      "BenchmarkSimLowMPKI/perlbench": {"ns_per_op": 60134613},
+      "BenchmarkSimNonSecure": {"ns_per_op": 21022999},
+      "BenchmarkSimSynergy": {"ns_per_op": 95668110},
+      "BenchmarkSimITESP": {"ns_per_op": 43532544}
+    },
+    "after": {
+      "BenchmarkSimLowMPKI/ep": {"ns_per_op": 24697808},
+      "BenchmarkSimLowMPKI/perlbench": {"ns_per_op": 23926274},
+      "BenchmarkSimNonSecure": {"ns_per_op": 19161272},
+      "BenchmarkSimSynergy": {"ns_per_op": 94554497},
+      "BenchmarkSimITESP": {"ns_per_op": 39581602}
     }
   },
   "current": {
