@@ -38,7 +38,7 @@ type Options struct {
 	Benchmarks []string
 	// Seed for trace generation.
 	Seed int64
-	// Parallel is the number of concurrent simulations (default: CPUs).
+	// Parallel is the number of concurrent simulations (default: GOMAXPROCS).
 	Parallel int
 	// W receives the printed table (default os.Stdout).
 	W io.Writer

@@ -3,11 +3,13 @@ package experiments
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/runner"
 	"repro/internal/runspec"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -46,6 +48,38 @@ func TestFig8ShapeHolds(t *testing.T) {
 	}
 	if r.Schemes["itesp"].GeoTop15 >= r.Schemes["synergy"].GeoTop15 {
 		t.Error("ITESP should beat baseline Synergy")
+	}
+}
+
+// TestFig8InvariantToWorkerCount: runs share no simulator state and the
+// runner collects results by index, so the pool size (one worker, the
+// GOMAXPROCS default, three) changes neither the per-run summaries nor a
+// byte of the printed figure.
+func TestFig8InvariantToWorkerCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	var refRaw map[string]*sim.Summary
+	var refOut string
+	for _, p := range []int{1, 0, 3} {
+		o := tiny(t)
+		o.Parallel = p
+		var buf bytes.Buffer
+		o.W = &buf
+		r, err := Fig8(o)
+		if err != nil {
+			t.Fatalf("Parallel %d: %v", p, err)
+		}
+		if refRaw == nil {
+			refRaw, refOut = r.Raw, buf.String()
+			continue
+		}
+		if !reflect.DeepEqual(r.Raw, refRaw) {
+			t.Errorf("Parallel %d: per-run summaries differ from Parallel 1", p)
+		}
+		if buf.String() != refOut {
+			t.Errorf("Parallel %d: printed figure differs from Parallel 1:\n%s\nvs\n%s", p, buf.String(), refOut)
+		}
 	}
 }
 

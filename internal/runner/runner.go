@@ -48,9 +48,11 @@ var ErrHeartbeatCanceled = errors.New("runner: attempt abandoned on heartbeat fa
 
 // Options configure a batch run.
 type Options struct {
-	// Parallel bounds concurrent simulations (default: GOMAXPROCS-1,
-	// min 1). Runs are independent, so this is the simulator's one
-	// parallelism axis; each run ticks its DRAM channels serially.
+	// Parallel bounds concurrent simulations (default when <= 0:
+	// GOMAXPROCS, min 1). Runs are independent, so this is the simulator's
+	// one parallelism axis; each run ticks its DRAM channels serially. The
+	// default reserves no CPU: the caller only blocks until the pool
+	// drains, and the per-job hooks cost microseconds.
 	Parallel int
 	// Cache, when non-nil, serves hits and stores results by spec hash.
 	Cache *Cache
@@ -114,11 +116,7 @@ func (o Options) parallel() int {
 	if o.Parallel > 0 {
 		return o.Parallel
 	}
-	p := runtime.GOMAXPROCS(0) - 1
-	if p < 1 {
-		p = 1
-	}
-	return p
+	return max(runtime.GOMAXPROCS(0), 1)
 }
 
 // runSim is the simulation entry point, returning both the live result
@@ -181,12 +179,17 @@ func canceledOutcome(err error) bool {
 // error per failed job (prefixed with its key), and jobs skipped by
 // cancellation are counted so missing results are always accounted for —
 // a key absent from the map is named in the error, never silently dropped.
+// A batch with an empty or duplicate key (runspec.CheckKeys) is rejected
+// whole, before any job runs or any journal opens.
 //
 // Cancellation drains: once ctx fires, queued jobs are skipped (counted
 // Canceled) while in-flight simulations run to completion and land in the
 // cache, so an interrupted sweep loses no finished work. Each in-flight
 // job remains bounded by Options.JobTimeout.
 func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary, Stats, error) {
+	if err := runspec.CheckKeys(jobs); err != nil {
+		return nil, Stats{}, err
+	}
 	var stats Stats
 	stats.addJobs(len(jobs))
 	results := make(map[string]*sim.Summary, len(jobs))

@@ -54,12 +54,29 @@ func WriteBatch(w io.Writer, jobs []Named) error {
 }
 
 // ValidateBatch checks a job list as a unit: non-empty, every key present
-// and unique, every spec valid. Errors name the offending job by index and
-// key so a rejected submission is diagnosable from the message alone.
+// and unique (CheckKeys), every spec valid. Errors name the offending job
+// by index and key so a rejected submission is diagnosable from the
+// message alone.
 func ValidateBatch(jobs []Named) error {
 	if len(jobs) == 0 {
 		return fmt.Errorf("runspec: batch: no jobs")
 	}
+	if err := CheckKeys(jobs); err != nil {
+		return err
+	}
+	for i, j := range jobs {
+		if err := j.Spec.Validate(); err != nil {
+			return fmt.Errorf("runspec: batch: job %d (%s): %w", i, j.Key, err)
+		}
+	}
+	return nil
+}
+
+// CheckKeys checks that every job has a non-empty key and that no two jobs
+// share one. Keys name results (a result map holds one entry per key), so
+// a batch failing this check would lose results silently; every executor
+// of a batch, in-process or farm, rejects it before running anything.
+func CheckKeys(jobs []Named) error {
 	seen := make(map[string]int, len(jobs))
 	for i, j := range jobs {
 		if j.Key == "" {
@@ -69,9 +86,6 @@ func ValidateBatch(jobs []Named) error {
 			return fmt.Errorf("runspec: batch: duplicate key %q (jobs %d and %d)", j.Key, prev, i)
 		}
 		seen[j.Key] = i
-		if err := j.Spec.Validate(); err != nil {
-			return fmt.Errorf("runspec: batch: job %d (%s): %w", i, j.Key, err)
-		}
 	}
 	return nil
 }

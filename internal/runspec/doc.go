@@ -17,7 +17,8 @@
 // Batches (batch.go) extend the same discipline to job lists: a Named
 // pairs a display key with a spec, ReadBatch/WriteBatch define the on-disk
 // and on-wire batch format, and ValidateBatch rejects duplicate keys and
-// unresolvable specs before any simulation is scheduled. SweepID names a
+// unresolvable specs before any simulation is scheduled. Its key check,
+// CheckKeys, is the one the in-process runner applies too. SweepID names a
 // whole job set by content; the runner's sweep journals and the farm's
 // sweeps both use it. The farm submission API (internal/farm/api) and the
 // simfarm client both speak this format.

@@ -132,6 +132,15 @@ done
       "BenchmarkSimITESP": {"ns_per_op": 39581602}
     }
   },
+  "parallel_default": {
+    "recorded": "BenchmarkFig8ExecutionTime (default Parallel) before (commit ceffcb2, pool of GOMAXPROCS-1 workers) and after (GOMAXPROCS workers); min of 8 ABBA-interleaved trials at -benchtime 2x; 2-CPU Intel(R) Xeon(R) Processor host, go1.24.0",
+    "before": {
+      "BenchmarkFig8ExecutionTime": {"ns_per_op": 4072746788, "B_per_op": 21913372, "allocs_per_op": 51932, "itesp_vs_synergy_pct": 81.16}
+    },
+    "after": {
+      "BenchmarkFig8ExecutionTime": {"ns_per_op": 1929059569, "B_per_op": 21916188, "allocs_per_op": 51943, "itesp_vs_synergy_pct": 81.16}
+    }
+  },
   "current": {
     "benchmarks": {
 EOF
