@@ -1,8 +1,10 @@
 // Command simfarmd is the sweep-farm coordinator: it accepts sweep
-// submissions over HTTP/JSON, maintains a durable pull queue of unique run
+// submissions over HTTP/JSON, keeps an in-memory pull queue of unique run
 // specs, leases jobs to simfarm-worker processes with heartbeat/expiry
 // semantics, and serves every completed summary from a shared
-// content-addressed corpus. See DESIGN.md's "Sweep farm" and "Farm
+// content-addressed corpus — its only durable state. A restarted
+// coordinator starts empty; clients re-submit and finished jobs come back
+// cached. See DESIGN.md's "Sweep farm" and "Farm
 // security & resilience" chapters for the protocol and examples/farm for a
 // walkthrough.
 //
@@ -14,9 +16,8 @@
 //	simfarmd -routes   # print the endpoint table (used by docscheck)
 //
 // Exit codes follow the repo convention: 0 for a clean drain (including
-// SIGINT/SIGTERM shutdown), 3 when the shutdown could not flush farm state
-// (journal write failure — the on-disk queue may be stale), 1 for other
-// errors, 2 for flag errors.
+// SIGINT/SIGTERM shutdown), 3 when a finished result could not be stored
+// in the corpus, 1 for other errors, 2 for flag errors.
 package main
 
 import (
@@ -36,14 +37,13 @@ import (
 
 func main() {
 	addr := flag.String("addr", "localhost:8344", "address to serve the farm API on")
-	cacheDir := flag.String("cache-dir", ".runcache", "shared result corpus: content-addressed summaries plus the farm journal")
+	cacheDir := flag.String("cache-dir", ".runcache", "shared result corpus: content-addressed summaries, the farm's only durable state")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "how long a job lease survives without a worker heartbeat before it lapses back to the queue")
 	retries := flag.Int("retries", 1, "extra attempts per job after a lapsed lease, worker panic, or worker timeout before the job is marked failed")
 	tlsCert := flag.String("tls-cert", "", "server TLS certificate (PEM); with -tls-key, serve HTTPS instead of plaintext")
 	tlsKey := flag.String("tls-key", "", "server TLS private key (PEM)")
 	tlsClientCA := flag.String("tls-client-ca", "", "CA bundle (PEM) for mutual TLS: require and verify client certificates signed by it")
 	token := flag.String("token", "", "shared bearer token every request must present (Authorization: Bearer); empty disables token auth")
-	compactBytes := flag.Int64("compact-bytes", 1<<20, "journal size threshold (bytes) that triggers compaction to the live-state snapshot; negative disables")
 	routes := flag.Bool("routes", false, "print the served endpoint table and exit")
 	flag.Parse()
 
@@ -66,12 +66,11 @@ func main() {
 	defer stop()
 
 	co, err := farm.NewCoordinator(farm.Config{
-		CacheDir:     *cacheDir,
-		LeaseTTL:     *leaseTTL,
-		Retries:      *retries,
-		Collector:    sweep.New(),
-		Token:        *token,
-		CompactBytes: *compactBytes,
+		CacheDir:  *cacheDir,
+		LeaseTTL:  *leaseTTL,
+		Retries:   *retries,
+		Collector: sweep.New(),
+		Token:     *token,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simfarmd:", err)
@@ -118,16 +117,16 @@ func main() {
 	case <-ctx.Done():
 	}
 	// Graceful drain: unpark long-poll leases first (workers see an empty
-	// grant and ride out the restart on their retry policy), let in-flight
-	// HTTP finish, then compact and flush the journal. A journal that
-	// cannot flush is a wedged-state failure: the next boot would replay a
-	// stale queue, so it gets the distinct exit code.
+	// grant and ride out the restart on their retry policy), then let
+	// in-flight HTTP finish. A result that could not be stored in the
+	// corpus is lost to the next lifetime, so it gets the distinct exit
+	// code.
 	co.Shutdown()
 	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = srv.Shutdown(sctx)
 	if err := co.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "simfarmd: journal:", err)
+		fmt.Fprintln(os.Stderr, "simfarmd: corpus:", err)
 		os.Exit(3)
 	}
 }

@@ -128,8 +128,8 @@ type SubmitResponse struct {
 }
 
 // LeaseRequest asks for the next queued job. Worker is a display name for
-// status surfaces and the journal; WaitMS long-polls up to that many
-// milliseconds when the queue is empty (capped by the coordinator).
+// status surfaces; WaitMS long-polls up to that many milliseconds when the
+// queue is empty (capped by the coordinator).
 type LeaseRequest struct {
 	Worker string `json:"worker"`
 	WaitMS int64  `json:"wait_ms,omitempty"`

@@ -16,10 +16,11 @@ import (
 // heartbeating. The lease lapses, the job re-queues with its attempt
 // charged, and a healthy worker finishes it on attempt 2. The sweep
 // converges with consistent accounting across the status API, the
-// collector, and the journal.
+// collector's counters, and its event stream.
 func TestChaosWorkerCrashRecovery(t *testing.T) {
 	clock := newFakeClock()
 	col := sweep.New()
+	events := recordEvents(t, col)
 	co, cl := testFarm(t, Config{LeaseTTL: 30 * time.Second, Retries: 2, Clock: clock.Now, Collector: col})
 	ctx := context.Background()
 
@@ -87,18 +88,12 @@ func TestChaosWorkerCrashRecovery(t *testing.T) {
 		t.Fatalf("collector progress: %+v", p)
 	}
 
-	// Journal view: lease/expire/requeue/done counts must balance — the
+	// Event view: attempt/expired/retry/done counts must balance — the
 	// post-mortem story a real crash would be diagnosed from.
-	recs, err := ReadJournal(JournalPath(co.cfg.CacheDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := map[string]int{}
-	for _, r := range recs {
-		kinds[r.Kind]++
-	}
-	if kinds["lease"] != 2*n || kinds["expire"] != n || kinds["requeue"] != n || kinds["done"] != n || kinds["failed"] != 0 {
-		t.Fatalf("journal kinds: %v", kinds)
+	c := eventCounts(events())
+	if c[sweep.EventAttempt] != 2*n || c[sweep.EventExpired] != n || c[sweep.EventRetry] != n ||
+		c["done:"+sweep.OutcomeDone] != n || c["done:"+sweep.OutcomeFailed] != 0 {
+		t.Fatalf("event counts: %v", c)
 	}
 }
 

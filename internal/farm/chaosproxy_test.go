@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/farm/api"
+	"repro/internal/obs/sweep"
 	"repro/internal/runner"
 	"repro/internal/runspec"
 )
@@ -135,8 +136,9 @@ func TestChaosProxyNoJobLostOrDoubled(t *testing.T) {
 	// Coordinator with a short real-time lease TTL so leases orphaned by
 	// lost responses lapse and re-queue within the test's lifetime; a
 	// generous retry budget absorbs the injected losses.
-	corpus := t.TempDir()
-	co, err := NewCoordinator(Config{CacheDir: corpus, LeaseTTL: 2 * time.Second, Retries: 8})
+	col := sweep.New()
+	events := recordEvents(t, col)
+	co, err := NewCoordinator(Config{CacheDir: t.TempDir(), LeaseTTL: 2 * time.Second, Retries: 8, Collector: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,27 +207,20 @@ func TestChaosProxyNoJobLostOrDoubled(t *testing.T) {
 		}
 	}
 
-	// Exactly one terminal journal record per spec hash: no double
-	// completion slipped through the duplicate deliveries, no job leaked.
-	recs, err := ReadJournal(JournalPath(corpus))
-	if err != nil {
-		t.Fatal(err)
-	}
-	terminalByHash := map[string][]string{}
-	for _, r := range recs {
-		switch r.Kind {
-		case "done", "cached", "failed":
-			terminalByHash[r.Hash] = append(terminalByHash[r.Hash], r.Kind)
+	// Exactly one terminal event per key: no double completion slipped
+	// through the duplicate deliveries, no job leaked.
+	terminalByKey := map[string][]string{}
+	for _, ev := range events() {
+		if ev.Type == sweep.EventDone {
+			terminalByKey[ev.Key] = append(terminalByKey[ev.Key], ev.Outcome)
 		}
 	}
-	if len(terminalByHash) != len(jobs) {
-		t.Fatalf("terminal records for %d hashes, want %d: %v", len(terminalByHash), len(jobs), terminalByHash)
+	if len(terminalByKey) != len(jobs) {
+		t.Fatalf("terminal events for %d keys, want %d: %v", len(terminalByKey), len(jobs), terminalByKey)
 	}
 	for _, j := range jobs {
-		h, _ := j.Spec.Hash()
-		kinds := terminalByHash[h]
-		if len(kinds) != 1 || kinds[0] != "done" {
-			t.Errorf("%s: terminal records %v, want exactly one done", j.Key, kinds)
+		if outcomes := terminalByKey[j.Key]; len(outcomes) != 1 || outcomes[0] != sweep.OutcomeDone {
+			t.Errorf("%s: terminal events %v, want exactly one done", j.Key, outcomes)
 		}
 	}
 

@@ -295,10 +295,13 @@ func (c *Client) Result(ctx context.Context, hash string) (*api.ResultResponse, 
 // exponential backoff, reset whenever a job reaches a terminal state: the
 // one wake path that works through every proxy and coordinator restart
 // (the coordinator's /events stream drops events for slow subscribers, so
-// it could never replace the poll; it is for operators). onDone, when
-// non-nil, is called as jobs reach terminal states (serialized, with
-// monotonically increasing done counts). Failed jobs are reported like the
-// runner reports them: one error per failed job, joined, with every
+// it could never replace the poll; it is for operators). A poll answered
+// not_found means the coordinator restarted and forgot the sweep: RunSweep
+// re-submits the same jobs and polls on, and jobs finished before the
+// restart come back cached from the corpus. onDone, when non-nil, is
+// called as jobs reach terminal states (serialized, with monotonically
+// increasing done counts, once per key across restarts). Failed jobs are
+// reported like the runner reports them: one error per failed job, joined, with every
 // missing key accounted for.
 func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func(done, total int, key string, cached bool)) (map[string]*sim.Summary, error) {
 	sub, err := c.Submit(ctx, jobs)
@@ -310,6 +313,12 @@ func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func
 	var st *api.SweepStatus
 	for {
 		st, err = c.Sweep(ctx, sub.Sweep)
+		var ae *api.Error
+		if errors.As(err, &ae) && ae.Code == api.CodeNotFound {
+			if _, err = c.Submit(ctx, jobs); err == nil {
+				st, err = c.Sweep(ctx, sub.Sweep)
+			}
+		}
 		if err != nil {
 			return nil, err
 		}

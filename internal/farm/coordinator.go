@@ -2,6 +2,8 @@ package farm
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"sync"
@@ -16,8 +18,8 @@ import (
 // Config parameterizes a Coordinator.
 type Config struct {
 	// CacheDir roots the shared result corpus (the same content-addressed
-	// layout as the runner's .runcache, via runner.Cache) and the farm
-	// journal. Required.
+	// layout as the runner's .runcache, via runner.Cache): the farm's only
+	// durable state. Required.
 	CacheDir string
 	// LeaseTTL is how long a granted lease stays valid without a heartbeat
 	// (default 30s). Workers heartbeat well inside it (TTL/3 via the
@@ -43,12 +45,6 @@ type Config struct {
 	// Enforced by Handler across the whole surface, status endpoints
 	// included. Empty disables token auth.
 	Token string
-	// CompactBytes triggers journal compaction once the journal file
-	// outgrows this many bytes (and has at least doubled since the last
-	// compaction, so a large live state cannot thrash). Default 1 MiB;
-	// negative disables threshold compaction (startup and Close still
-	// compact).
-	CompactBytes int64
 }
 
 // job is the coordinator's bookkeeping for one unique spec hash. A hash
@@ -67,10 +63,12 @@ type job struct {
 	errText  string
 }
 
-// Coordinator owns the farm's job state machine: a durable pull queue of
-// unique specs, lease/heartbeat/expiry tracking, the shared result corpus,
-// and a crash-safe JSONL journal of every transition. All methods are safe
-// for concurrent use; Lease long-polls without holding the lock.
+// Coordinator owns the farm's job state machine: an in-memory pull queue
+// of unique specs, lease/heartbeat/expiry tracking, and the shared result
+// corpus. The corpus is the only durable state: a restarted coordinator
+// starts empty, and clients re-submit (see Client.RunSweep) to rebuild the
+// queue, with finished jobs coming back cached. All methods are safe for
+// concurrent use; Lease long-polls without holding the lock.
 //
 // State machine per job (states are api.State*):
 //
@@ -92,16 +90,19 @@ type Coordinator struct {
 	quit     chan struct{} // closed by Shutdown: long-polls return empty
 	quitOnce sync.Once
 
-	mu        sync.Mutex
-	jobs      map[string]*job // by spec hash
-	queue     []string        // pending hashes, FIFO
-	leases    map[string]*job // live leases by lease ID
-	sweeps    map[string]*sweepState
-	leaseSeq  uint64
-	wake      chan struct{} // closed and replaced whenever work is queued
-	journal   *journal
-	jerr      error // first journal write error (reported by Close)
-	compacted int64 // journal size right after the last compaction
+	// nonce is random per coordinator lifetime and part of every lease ID,
+	// so a worker that outlived a restart can never hold an ID the new
+	// lifetime also grants: its heartbeat and completion answer lease_gone.
+	nonce string
+
+	mu       sync.Mutex
+	jobs     map[string]*job // by spec hash
+	queue    []string        // pending hashes, FIFO
+	leases   map[string]*job // live leases by lease ID
+	sweeps   map[string]*sweepState
+	leaseSeq uint64
+	wake     chan struct{} // closed and replaced whenever work is queued
+	storeErr error         // first corpus write error (reported by Close)
 }
 
 // sweepState remembers a submitted sweep: its job hashes in submission
@@ -112,8 +113,8 @@ type sweepState struct {
 	keys   []string
 }
 
-// NewCoordinator opens a coordinator over the given corpus directory,
-// creating it (and the farm journal inside it) as needed.
+// NewCoordinator starts an empty coordinator over the given corpus
+// directory, creating it as needed.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.CacheDir == "" {
 		return nil, fmt.Errorf("farm: CacheDir is required")
@@ -127,35 +128,23 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.CompactBytes == 0 {
-		cfg.CompactBytes = 1 << 20
+	if err := os.MkdirAll(cfg.CacheDir, 0o755); err != nil {
+		return nil, fmt.Errorf("farm: corpus: %w", err)
 	}
-	// Read the previous lifetime's journal before reopening it for append:
-	// replay rebuilds the queue, job table, and sweeps, then compaction
-	// rewrites the file down to the minimal equivalent record set.
-	recs, err := ReadJournal(JournalPath(cfg.CacheDir))
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("farm: replay: %w", err)
+	var nonce [4]byte
+	if _, err := rand.Read(nonce[:]); err != nil {
+		return nil, fmt.Errorf("farm: lease nonce: %w", err)
 	}
-	j, err := openJournal(cfg.CacheDir)
-	if err != nil {
-		return nil, err
-	}
-	c := &Coordinator{
-		cfg:     cfg,
-		cache:   runner.NewCache(cfg.CacheDir),
-		quit:    make(chan struct{}),
-		jobs:    map[string]*job{},
-		leases:  map[string]*job{},
-		sweeps:  map[string]*sweepState{},
-		wake:    make(chan struct{}),
-		journal: j,
-	}
-	c.mu.Lock()
-	c.replayLocked(recs)
-	c.compactLocked()
-	c.mu.Unlock()
-	return c, nil
+	return &Coordinator{
+		cfg:    cfg,
+		cache:  runner.NewCache(cfg.CacheDir),
+		quit:   make(chan struct{}),
+		nonce:  hex.EncodeToString(nonce[:]),
+		jobs:   map[string]*job{},
+		leases: map[string]*job{},
+		sweeps: map[string]*sweepState{},
+		wake:   make(chan struct{}),
+	}, nil
 }
 
 // Shutdown begins a graceful stop: every long-polling Lease returns empty
@@ -167,35 +156,13 @@ func (c *Coordinator) Shutdown() {
 	c.quitOnce.Do(func() { close(c.quit) })
 }
 
-// Close compacts the journal down to the live state and closes it,
-// reporting the first journal error encountered during the coordinator's
-// lifetime.
+// Close reports the first corpus write error of the coordinator's
+// lifetime: a finished result that was served from memory but could not
+// be stored, so a restart would have to simulate it again.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.compactLocked()
-	err := c.journal.close()
-	if c.jerr != nil {
-		return c.jerr
-	}
-	return err
-}
-
-// record journals one transition; the first failure is remembered, never
-// propagated into the serving path (the journal is a post-mortem aid, not
-// a dependency). Once the journal outgrows the compaction threshold (and
-// has at least doubled since the last compaction), it is rewritten in
-// place to the minimal live-state record set. Callers hold c.mu.
-func (c *Coordinator) record(rec JournalRecord) {
-	rec.TMS = c.cfg.Clock().UnixMilli()
-	if err := c.journal.append(rec); err != nil && c.jerr == nil {
-		c.jerr = err
-	}
-	if c.cfg.CompactBytes > 0 {
-		if n := c.journal.bytes(); n > c.cfg.CompactBytes && n > 2*c.compacted {
-			c.compactLocked()
-		}
-	}
+	return c.storeErr
 }
 
 // notify wakes every long-polling Lease call. Callers hold c.mu.
@@ -218,52 +185,44 @@ func (c *Coordinator) Submit(jobs []runspec.Named) (*api.SubmitResponse, error) 
 	if err != nil {
 		return nil, &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
 	}
+	// Hash every spec once, outside the lock; the same SweepID means the
+	// same job set, so these specs also serve a re-submission.
+	fresh := &sweepState{hashes: make([]string, len(jobs)), keys: make([]string, len(jobs))}
+	specs := make(map[string]runspec.Spec, len(jobs))
+	for i, nj := range jobs {
+		h, _ := nj.Spec.Hash()
+		fresh.hashes[i], fresh.keys[i] = h, nj.Key
+		specs[h] = nj.Spec
+	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
 	st := c.sweeps[id]
 	if st == nil {
-		st = &sweepState{}
-		for _, nj := range jobs {
-			h, _ := nj.Spec.Hash()
-			st.hashes = append(st.hashes, h)
-			st.keys = append(st.keys, nj.Key)
-		}
+		st = fresh
 		c.sweeps[id] = st
-		c.record(JournalRecord{Kind: "submit", Sweep: id, Jobs: len(jobs), Keys: st.keys, Hashes: st.hashes})
 	}
 
 	resp := &api.SubmitResponse{Sweep: id, Jobs: len(st.hashes)}
 	queuedNew := false
-	var fresh int
+	var added int
 	for i, h := range st.hashes {
 		j := c.jobs[h]
 		if j == nil {
-			fresh++
-			j = &job{key: st.keys[i], hash: h, state: api.StateQueued}
-			for _, nj := range jobs {
-				if jh, _ := nj.Spec.Hash(); jh == h {
-					j.spec = nj.Spec
-					break
-				}
-			}
+			added++
+			j = &job{key: st.keys[i], hash: h, spec: specs[h], state: api.StateQueued}
 			c.jobs[h] = j
 			c.cfg.Collector.JobQueued(j.key, h)
-			// Spec rides in the journal record so a restarted coordinator
-			// can re-lease (or re-serve) the job from the journal alone.
-			sp := j.spec
 			if sum, ok := c.cache.Load(h); ok {
 				// Corpus hit: the sweep short-circuits dispatch entirely.
 				j.state = api.StateCached
 				j.summary = &runner.Entry{Hash: h, Spec: j.spec.Normalized(), Summary: sum}
 				c.cfg.Collector.CacheHit(j.key)
 				c.cfg.Collector.JobDone(j.key, sweep.OutcomeCached, 0, "")
-				c.record(JournalRecord{Kind: "cached", Sweep: id, Key: j.key, Hash: h, Spec: &sp})
 			} else {
 				c.queue = append(c.queue, h)
 				queuedNew = true
-				c.record(JournalRecord{Kind: "queued", Sweep: id, Key: j.key, Hash: h, Spec: &sp})
 			}
 		}
 		switch j.state {
@@ -277,8 +236,8 @@ func (c *Coordinator) Submit(jobs []runspec.Named) (*api.SubmitResponse, error) 
 			resp.Pending++
 		}
 	}
-	if fresh > 0 {
-		c.cfg.Collector.SweepStart(fresh)
+	if added > 0 {
+		c.cfg.Collector.SweepStart(added)
 	}
 	if queuedNew {
 		c.notify()
@@ -343,13 +302,12 @@ func (c *Coordinator) leaseLocked(worker string) *api.Lease {
 		c.leaseSeq++
 		j.state = api.StateLeased
 		j.attempts++
-		j.lease = fmt.Sprintf("l%d-%.8s", c.leaseSeq, h)
+		j.lease = fmt.Sprintf("l%s.%d-%.8s", c.nonce, c.leaseSeq, h)
 		j.worker = worker
 		j.expiry = now.Add(c.cfg.LeaseTTL)
 		c.leases[j.lease] = j
 		c.cfg.Collector.JobStarted(j.key, h)
 		c.cfg.Collector.JobAttempt(j.key, j.attempts)
-		c.record(JournalRecord{Kind: "lease", Key: j.key, Hash: h, Lease: j.lease, Worker: worker, Attempts: j.attempts})
 		return &api.Lease{
 			ID:      j.lease,
 			Key:     j.key,
@@ -401,16 +359,12 @@ func (c *Coordinator) Complete(req api.CompleteRequest) (string, error) {
 			c.requeueOrFailLocked(j, "worker reported success without a summary", true)
 			return j.state, &api.Error{Code: api.CodeBadRequest, Message: "outcome ok requires a summary"}
 		}
-		if err := c.cache.Store(j.hash, j.spec.Normalized(), req.Summary); err != nil {
-			c.record(JournalRecord{Kind: "store_error", Key: j.key, Hash: j.hash, Error: err.Error()})
-			if c.jerr == nil {
-				c.jerr = err
-			}
+		if err := c.cache.Store(j.hash, j.spec.Normalized(), req.Summary); err != nil && c.storeErr == nil {
+			c.storeErr = err
 		}
 		j.state = api.StateDone
 		j.summary = &runner.Entry{Hash: j.hash, Spec: j.spec.Normalized(), Summary: req.Summary}
 		c.cfg.Collector.JobDone(j.key, sweep.OutcomeDone, j.attempts, "")
-		c.record(JournalRecord{Kind: "done", Key: j.key, Hash: j.hash, Worker: j.worker, Attempts: j.attempts})
 		return j.state, nil
 	}
 
@@ -434,7 +388,6 @@ func (c *Coordinator) requeueOrFailLocked(j *job, errText string, retryable bool
 		j.worker = ""
 		c.queue = append(c.queue, j.hash)
 		c.cfg.Collector.JobRetry(j.key, j.attempts)
-		c.record(JournalRecord{Kind: "requeue", Key: j.key, Hash: j.hash, Attempts: j.attempts, Error: errText})
 		c.notify()
 		return
 	}
@@ -444,7 +397,6 @@ func (c *Coordinator) requeueOrFailLocked(j *job, errText string, retryable bool
 		j.errText = "job failed"
 	}
 	c.cfg.Collector.JobDone(j.key, sweep.OutcomeFailed, j.attempts, j.errText)
-	c.record(JournalRecord{Kind: "failed", Key: j.key, Hash: j.hash, Attempts: j.attempts, Error: j.errText})
 }
 
 // expireLocked lapses every lease whose expiry has passed: the job goes
@@ -459,7 +411,6 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		delete(c.leases, id)
 		j.lease = ""
 		c.cfg.Collector.JobExpired(j.key, j.attempts)
-		c.record(JournalRecord{Kind: "expire", Key: j.key, Hash: j.hash, Lease: id, Worker: j.worker, Attempts: j.attempts})
 		c.requeueOrFailLocked(j, fmt.Sprintf("lease lapsed on attempt %d (worker %s stopped heartbeating)", j.attempts, j.worker), true)
 	}
 }
@@ -531,9 +482,13 @@ func (c *Coordinator) Sweep(id string) (*api.SweepStatus, error) {
 // sharing the directory) remain addressable.
 func (c *Coordinator) Result(hash string) (*api.ResultResponse, error) {
 	c.mu.Lock()
-	j := c.jobs[hash]
+	var j job
+	known := c.jobs[hash]
+	if known != nil {
+		j = *known // copy under the lock: leaseLocked and Complete write these fields under it
+	}
 	c.mu.Unlock()
-	if j != nil {
+	if known != nil {
 		switch j.state {
 		case api.StateDone, api.StateCached:
 			return &api.ResultResponse{Hash: hash, Spec: j.summary.Spec, Summary: j.summary.Summary}, nil

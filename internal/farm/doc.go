@@ -1,6 +1,6 @@
 // Package farm turns the run orchestration stack into a networked service:
 // a coordinator (cmd/simfarmd) that accepts sweep submissions over
-// HTTP/JSON and maintains a durable pull queue, and stateless workers
+// HTTP/JSON and keeps an in-memory pull queue, and stateless workers
 // (cmd/simfarm-worker) that long-poll for leases, execute jobs through the
 // ordinary runner + local .runcache, and push summaries back. The wire
 // protocol lives in the api subpackage — one definition shared by
@@ -18,6 +18,10 @@
 //     as a local .runcache, fed by every worker's pushed results. A
 //     submitted job whose hash is already in the corpus is satisfied
 //     without dispatch — cache hits short-circuit the queue entirely.
+//     The corpus is the farm's only durable state: a restarted
+//     coordinator starts empty, Client.RunSweep re-submits when its sweep
+//     is unknown, and every job finished before the restart comes back
+//     cached.
 //   - Reliability is lease-based. A worker holds each job under a TTL'd
 //     lease and renews it from inside the runner's heartbeat hook; a
 //     worker that dies simply stops heartbeating, its lease lapses, and
@@ -28,9 +32,7 @@
 //     obs/sweep Collector on behalf of its remote fleet — lease grants
 //     become started/attempt spans, lapses become expired spans — so
 //     /progress, /metrics, and /events aggregate the whole farm exactly
-//     like a local sweep. Every state transition is also journaled to an
-//     append-only farm-journal.jsonl beside the corpus (the crash-safe
-//     whole-line-append idiom of the sweep telemetry journal).
+//     like a local sweep.
 //
 // See DESIGN.md's "Sweep farm" chapter for the endpoint, lease, and
 // state-machine reference, and examples/farm for a runnable walkthrough.

@@ -1,8 +1,11 @@
 package farm
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -64,6 +67,41 @@ func protoJob(key string, seed int64) runspec.Named {
 	return runspec.Named{Key: key, Spec: runspec.Spec{
 		Scheme: "nonsecure", Benchmark: "lbm", Cores: 1, OpsPerCore: 300, Seed: seed,
 	}}
+}
+
+// recordEvents journals col's lifecycle events into a buffer; the returned
+// func detaches the sink and parses what it holds.
+func recordEvents(t *testing.T, col *sweep.Collector) func() []sweep.Event {
+	t.Helper()
+	var buf bytes.Buffer
+	col.AttachSink(&buf)
+	return func() []sweep.Event {
+		t.Helper()
+		col.AttachSink(nil) // under the collector's lock: no write races the read
+		var evs []sweep.Event
+		for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+			var ev sweep.Event
+			if err := json.Unmarshal(line, &ev); err != nil {
+				t.Fatalf("event line %q: %v", line, err)
+			}
+			evs = append(evs, ev)
+		}
+		return evs
+	}
+}
+
+// eventCounts tallies events by type; done events count under
+// "done:<outcome>".
+func eventCounts(evs []sweep.Event) map[string]int {
+	counts := map[string]int{}
+	for _, ev := range evs {
+		if ev.Type == sweep.EventDone {
+			counts["done:"+ev.Outcome]++
+			continue
+		}
+		counts[ev.Type]++
+	}
+	return counts
 }
 
 func errCode(t *testing.T, err error) string {
@@ -161,7 +199,9 @@ func TestFarmLifecycle(t *testing.T) {
 // completion are rejected with lease_gone.
 func TestFarmExpireRelease(t *testing.T) {
 	clock := newFakeClock()
-	co, cl := testFarm(t, Config{LeaseTTL: 30 * time.Second, Retries: 1, Clock: clock.Now})
+	col := sweep.New()
+	events := recordEvents(t, col)
+	co, cl := testFarm(t, Config{LeaseTTL: 30 * time.Second, Retries: 1, Clock: clock.Now, Collector: col})
 	ctx := context.Background()
 
 	if _, err := cl.Submit(ctx, []runspec.Named{protoJob("a", 1)}); err != nil {
@@ -201,17 +241,10 @@ func TestFarmExpireRelease(t *testing.T) {
 	}
 
 	// One more expiry would exceed Retries=1 — but the job is done, so the
-	// journal must show exactly one expire/requeue pair.
-	recs, err := ReadJournal(JournalPath(co.cfg.CacheDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := map[string]int{}
-	for _, r := range recs {
-		kinds[r.Kind]++
-	}
-	if kinds["expire"] != 1 || kinds["requeue"] != 1 || kinds["lease"] != 2 || kinds["done"] != 1 {
-		t.Fatalf("journal kinds: %v", kinds)
+	// lifecycle events must show exactly one expired/retry pair.
+	n := eventCounts(events())
+	if n[sweep.EventExpired] != 1 || n[sweep.EventRetry] != 1 || n[sweep.EventAttempt] != 2 || n["done:"+sweep.OutcomeDone] != 1 {
+		t.Fatalf("event counts: %v", n)
 	}
 }
 
@@ -453,5 +486,99 @@ func TestFarmStatusSurface(t *testing.T) {
 		if resp.StatusCode != 200 || !strings.Contains(string(body[:n]), want) {
 			t.Fatalf("GET %s: HTTP %d, body %q must contain %q", path, resp.StatusCode, body[:n], want)
 		}
+	}
+}
+
+// TestResultConcurrentWithCompletion: Result reads a job while workers
+// lease and complete it. Run under -race, it pins that Result copies the
+// job's fields under the coordinator lock instead of after releasing it.
+func TestResultConcurrentWithCompletion(t *testing.T) {
+	co, _ := testFarm(t, Config{})
+	const n = 50
+	jobs := make([]runspec.Named, n)
+	hashes := make([]string, n)
+	for i := range jobs {
+		jobs[i] = protoJob(fmt.Sprintf("j%d", i), int64(i+1))
+		hashes[i], _ = jobs[i].Spec.Hash()
+	}
+	if _, err := co.Submit(jobs); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, h := range hashes {
+				co.Result(h)
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		l, err := co.Lease(context.Background(), "w", 0)
+		if err != nil || l == nil {
+			t.Fatalf("lease %d: %+v %v", i, l, err)
+		}
+		if _, err := co.Complete(api.CompleteRequest{Lease: l.ID, Outcome: api.OutcomeOK, Summary: &sim.Summary{Cycles: uint64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-polled
+	for _, h := range hashes {
+		if res, err := co.Result(h); err != nil || res.Summary == nil {
+			t.Fatalf("result %s: %+v %v", h, res, err)
+		}
+	}
+}
+
+// TestFarmSubmitLinear: Submit resolves each fresh hash to its spec from
+// one map per call, so a large sweep submits in well under a second; a
+// per-job rescan of the whole batch would take tens of seconds here. Two
+// keys sharing one spec must still resolve to that spec.
+func TestFarmSubmitLinear(t *testing.T) {
+	co, _ := testFarm(t, Config{})
+	const n = 2000
+	jobs := make([]runspec.Named, 0, n+1)
+	for i := 0; i < n; i++ {
+		jobs = append(jobs, protoJob(fmt.Sprintf("j%d", i), int64(i+1)))
+	}
+	twin := runspec.Named{Key: "j0-twin", Spec: jobs[0].Spec}
+	jobs = append(jobs, twin)
+
+	start := time.Now()
+	sub, err := co.Submit(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("submitting %d jobs took %v", len(jobs), took)
+	}
+	if sub.Jobs != n+1 || sub.Pending != n+1 {
+		t.Fatalf("submit response: %+v", sub)
+	}
+	if s := co.Snapshot(); s.Jobs != n || s.Queued != n {
+		t.Fatalf("the twin must share its spec's job: %+v", s)
+	}
+
+	l, err := co.Lease(context.Background(), "w", 0)
+	if err != nil || l == nil {
+		t.Fatalf("lease: %+v %v", l, err)
+	}
+	if l.Key != "j0" || l.Spec != twin.Spec {
+		t.Fatalf("shared hash must lease with its spec: key %s spec %+v", l.Key, l.Spec)
+	}
+	st, err := co.Sweep(sub.Sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := st.Jobs[n]; last.Key != twin.Key || last.Hash != l.Hash || last.State != api.StateLeased {
+		t.Fatalf("twin row: %+v", last)
 	}
 }

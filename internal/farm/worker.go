@@ -14,8 +14,7 @@ import (
 type WorkerOptions struct {
 	// Client speaks to the coordinator. Required.
 	Client *Client
-	// Name identifies the worker on status surfaces and in the farm
-	// journal.
+	// Name identifies the worker on the coordinator's status surfaces.
 	Name string
 	// CacheDir, when non-empty, gives the worker a local content-addressed
 	// .runcache: a job whose hash is already local completes without
@@ -198,7 +197,8 @@ func (o WorkerOptions) runLease(ctx context.Context, cache *runner.Cache, lease 
 // heartbeatFatal classifies a heartbeat error as attempt-ending: the
 // coordinator explicitly revoked the lease (lease_gone) or rejected our
 // credentials. Transport failures and 5xx are transient — the coordinator
-// may be mid-restart with the lease safely journaled.
+// may be mid-restart. A restarted coordinator forgets the lease, so the
+// next heartbeat that reaches it answers lease_gone.
 func heartbeatFatal(err error) bool {
 	var ae *api.Error
 	if errors.As(err, &ae) && ae.Code == api.CodeLeaseGone {
