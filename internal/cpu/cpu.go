@@ -108,11 +108,13 @@ func (c *Core) Retired() uint64 { return c.retired }
 // until a completion arrives: the head of the ROB is an outstanding read
 // and the issue side cannot move either. While it holds, Cycle would only
 // charge a stall cycle; callers that know no completion can arrive (the
-// simulation loop between token deliveries) may use StallTick instead.
+// simulation loop between token deliveries) may use AddIdleCycles
+// instead. An inactive Cycle (see Cycle) that leaves an unfinished core
+// unblocked was held back only by a rejected issue.
 func (c *Core) Blocked() bool { return c.blocked }
 
-// StallTick charges one stall cycle without the full Cycle bookkeeping.
-// Valid only while Blocked() holds; equivalent to calling Cycle then.
+// Deprecated: StallTick is AddIdleCycles(1) on a Blocked core, kept only
+// because the benchmark's step driver (perfbench/stepdriver.go) calls it.
 func (c *Core) StallTick() { c.StallCycles.Inc() }
 
 // OpsIssued returns memory operations issued so far.
@@ -303,12 +305,13 @@ func (c *Core) Cycle(now uint64, issue IssueFunc) (active bool, err error) {
 	limit := min(c.retired+uint64(c.cfg.Width), c.retireBound())
 	if limit == c.retired {
 		c.StallCycles.Inc()
-		// If the issue side cannot move either — the trace is exhausted, or
-		// the next op sits outside the ROB window, whose lower edge only
-		// advances when retirement does — the core's entire state is frozen
-		// until an outstanding read completes. OnComplete clears the flag.
+		// If the issue side cannot move either — no op is left to issue
+		// (trace exhausted or target issued), or the next op sits outside
+		// the ROB window, whose lower edge only advances when retirement
+		// does — the core's entire state is frozen until an outstanding
+		// read completes. OnComplete clears the flag.
 		if !active && c.nFlights > 0 &&
-			((c.exhausted && !c.havePend) || (c.havePend && c.pendingIdx >= c.retired+uint64(c.cfg.ROBSize))) {
+			(!c.havePend || c.pendingIdx >= c.retired+uint64(c.cfg.ROBSize)) {
 			c.blocked = true
 		}
 	} else {

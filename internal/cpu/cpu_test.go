@@ -146,6 +146,66 @@ func TestBackpressureBlocksIssue(t *testing.T) {
 	}
 }
 
+// TestBlockedOnceTargetIssued covers a core that has issued its whole
+// target while its trace still has records: with only reads outstanding it
+// can neither issue nor retire, so it is blocked exactly like a core whose
+// trace ran dry.
+func TestBlockedOnceTargetIssued(t *testing.T) {
+	src := trace.NewSliceSource(recs(8, 0, mem.Read))
+	c := NewCore(0, DefaultConfig(), src, 2)
+	f := newFakeMemory(100)
+	for now := uint64(1); now <= 2; now++ {
+		if _, err := c.Cycle(now, f.issue(now)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.OpsIssued() != 2 || !c.Blocked() {
+		t.Fatalf("issued %d ops, blocked=%v; want the whole target issued and the core blocked", c.OpsIssued(), c.Blocked())
+	}
+	f.deliver(200, c)
+	if c.Blocked() {
+		t.Fatal("a completion must unblock the core")
+	}
+	run(t, c, f, 1_000)
+}
+
+// TestInactiveCycleWithoutIssueIsBlocked pins the invariant the simulation
+// loop's shortcuts rest on: a Cycle that changes no state and never reaches
+// the memory system leaves a not-done core Blocked. So an inactive core
+// that is not Blocked was held back only by a rejected issue, and repeats
+// that cycle exactly for as long as the memory system keeps rejecting.
+func TestInactiveCycleWithoutIssueIsBlocked(t *testing.T) {
+	var checked int
+	for seed := int64(1); seed <= 400; seed++ {
+		c, now := randomCore(t, seed)
+		// From here no read completes and half the issues are rejected:
+		// run until the first inactive cycle that made no attempt.
+		rng := rand.New(rand.NewSource(seed))
+		attempted := false
+		issue := func(int, trace.Record) (uint64, bool, error) {
+			attempted = true
+			return 1 << 40, rng.Intn(2) == 0, nil
+		}
+		for i := uint64(1); i <= 5000 && !c.Done() && !c.Blocked(); i++ {
+			attempted = false
+			active, err := c.Cycle(now+i, issue)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if active || attempted || c.Done() {
+				continue
+			}
+			checked++
+			if !c.Blocked() {
+				t.Fatalf("seed %d: inactive cycle with no issue attempt left the core unblocked: %+v", seed, c)
+			}
+		}
+	}
+	if checked < 50 {
+		t.Fatalf("only %d of 400 random states had an inactive cycle; the generator lost coverage", checked)
+	}
+}
+
 func TestTraceExhaustion(t *testing.T) {
 	// Target larger than the trace: the core should still finish.
 	src := trace.NewSliceSource(recs(5, 1, mem.Read))

@@ -68,8 +68,8 @@ type Txn struct {
 
 	neededAct bool
 	colIssued bool
-	// seq is the channel-local arrival order used by the bank-indexed
-	// FR-FCFS scan to reproduce flat queue-order tie-breaking.
+	// seq is the channel-local arrival order the bank-indexed FR-FCFS
+	// scan breaks ties by, as an oldest-first scan of the queue would.
 	seq uint64
 }
 
@@ -215,15 +215,15 @@ type channel struct {
 	cfg   Config
 	ranks []rank
 
-	readQ  []*Txn
-	writeQ []*Txn
-	// bankRead/bankWrite mirror the queues bucketed by (rank, bank) so the
-	// FR-FCFS scan touches each bank's two class representatives instead of
-	// every queued transaction. busyRead/busyWrite are occupancy bitmaps
-	// over the same index space so the scan visits only nonempty banks
-	// (occupancy is typically a small fraction of ranks*banks). rankOf and
-	// bankOf flatten the bank index back to rank number and bank state
-	// without a division on the hot path.
+	nRead, nWrite int // read and write queue occupancy
+	// bankRead/bankWrite hold the queued transactions bucketed by (rank,
+	// bank) so the FR-FCFS scan touches each bank's two class
+	// representatives instead of every queued transaction.
+	// busyRead/busyWrite are occupancy bitmaps over the same index space so
+	// the scan visits only nonempty banks (occupancy is typically a small
+	// fraction of ranks*banks). rankOf and bankOf flatten the bank index
+	// back to rank number and bank state without a division on the hot
+	// path.
 	bankRead  []bankList
 	bankWrite []bankList
 	busyRead  []uint64
@@ -436,17 +436,17 @@ func (m *Memory) ChannelStats(c int) *ChannelStats { return &m.channels[c].Stats
 func (m *Memory) CanEnqueue(c int, t mem.AccessType) bool {
 	ch := m.channels[c]
 	if t == mem.Read {
-		return len(ch.readQ) < m.cfg.ReadQ
+		return ch.nRead < m.cfg.ReadQ
 	}
-	return len(ch.writeQ) < m.cfg.WriteQ
+	return ch.nWrite < m.cfg.WriteQ
 }
 
 // QueueLen returns the current occupancy of channel c's queue for type t.
 func (m *Memory) QueueLen(c int, t mem.AccessType) int {
 	if t == mem.Read {
-		return len(m.channels[c].readQ)
+		return m.channels[c].nRead
 	}
-	return len(m.channels[c].writeQ)
+	return m.channels[c].nWrite
 }
 
 // Enqueue adds a transaction; it returns false (and does nothing) if the
@@ -455,15 +455,15 @@ func (m *Memory) Enqueue(t *Txn) bool {
 	ch := m.channels[t.Loc.Channel]
 	t.Arrival = m.now
 	if t.Op.Type == mem.Read {
-		if len(ch.readQ) >= m.cfg.ReadQ {
+		if ch.nRead >= m.cfg.ReadQ {
 			return false
 		}
-		ch.readQ = append(ch.readQ, t)
+		ch.nRead++
 	} else {
-		if len(ch.writeQ) >= m.cfg.WriteQ {
+		if ch.nWrite >= m.cfg.WriteQ {
 			return false
 		}
-		ch.writeQ = append(ch.writeQ, t)
+		ch.nWrite++
 	}
 	ch.seq++
 	t.seq = ch.seq
@@ -483,7 +483,7 @@ func (m *Memory) Enqueue(t *Txn) bool {
 func (m *Memory) Pending() int {
 	n := 0
 	for _, ch := range m.channels {
-		n += len(ch.readQ) + len(ch.writeQ) + len(ch.pending)
+		n += ch.nRead + ch.nWrite + len(ch.pending)
 	}
 	return n
 }
@@ -542,7 +542,7 @@ func (m *Memory) NextEvent() uint64 {
 		// Command issuability is exactly the scan memo: this is only called
 		// after a fully idle tick, so every channel with queued work just
 		// ran (or still holds) a failed scan whose bound is current.
-		if len(ch.readQ)+len(ch.writeQ) > 0 {
+		if ch.nRead+ch.nWrite > 0 {
 			upd(ch.nextTry)
 		}
 	}
@@ -599,9 +599,9 @@ func (ch *channel) tick(now uint64, done []*Txn) ([]*Txn, bool) {
 	}
 
 	// Update drain mode.
-	if len(ch.writeQ) >= ch.cfg.HighWM {
+	if ch.nWrite >= ch.cfg.HighWM {
 		ch.draining = true
-	} else if len(ch.writeQ) <= ch.cfg.LowWM {
+	} else if ch.nWrite <= ch.cfg.LowWM {
 		ch.draining = false
 	}
 
@@ -636,7 +636,7 @@ func (ch *channel) tick(now uint64, done []*Txn) ([]*Txn, bool) {
 		return done, active
 	}
 	until := uint64(math.MaxUint64)
-	primaryWrites := ch.draining || len(ch.readQ) == 0
+	primaryWrites := ch.draining || ch.nRead == 0
 	if ch.issueFromBanks(primaryWrites, now, &until) || ch.issueFromBanks(!primaryWrites, now, &until) {
 		ch.nextTry = 0
 		return done, true
@@ -740,20 +740,20 @@ func (ch *channel) refreshBound(now uint64) uint64 {
 // every gate is bank- or rank-level, so same-bank same-class transactions
 // are interchangeable and the oldest always wins — which makes the scan
 // O(banks) instead of O(queue). Ties across banks resolve by arrival
-// sequence, reproducing the flat queue-order scan exactly. When nothing is
+// sequence, exactly as an oldest-first scan of the queue. When nothing is
 // issuable, *until is lowered to the earliest cycle any transaction could
 // become issuable with unchanged scheduler state. Returns true if a command
 // was issued.
 func (ch *channel) issueFromBanks(isWrite bool, now uint64, until *uint64) bool {
-	q, rbits := ch.readQ, ch.rankBusyRead
+	rbits := ch.rankBusyRead
 	relHit, relOther, relNext := ch.relHitR, ch.relOtherR, ch.relNextR
 	colRep, anyRep, anyCmdOf, repUntil := ch.colRepR, ch.anyRepR, ch.anyCmdR, ch.repUntilR
 	if isWrite {
-		q, rbits = ch.writeQ, ch.rankBusyWrite
+		rbits = ch.rankBusyWrite
 		relHit, relOther, relNext = ch.relHitW, ch.relOtherW, ch.relNextW
 		colRep, anyRep, anyCmdOf, repUntil = ch.colRepW, ch.anyRepW, ch.anyCmdW, ch.repUntilW
 	}
-	if len(q) == 0 {
+	if rbits == 0 {
 		return false
 	}
 	tm := &ch.cfg.Timing
@@ -1401,23 +1401,9 @@ func (ch *channel) precharge(rk *rank, bk *bank, now uint64) {
 }
 
 func (ch *channel) removeFromQueue(t *Txn) {
-	q := &ch.readQ
 	bl := &ch.bankRead[ch.bankIdx(t)]
 	if t.Op.Type == mem.Write {
-		q = &ch.writeQ
 		bl = &ch.bankWrite[ch.bankIdx(t)]
-	}
-	// The flat queues are only consulted for occupancy (the scan runs over
-	// the bank buckets and breaks ties by Txn.seq), so a swap-remove avoids
-	// the O(queue) shift.
-	for i, x := range *q {
-		if x == t {
-			last := len(*q) - 1
-			(*q)[i] = (*q)[last]
-			(*q)[last] = nil
-			*q = (*q)[:last]
-			break
-		}
 	}
 	for i, x := range bl.txns {
 		if x == t {
@@ -1435,11 +1421,13 @@ func (ch *channel) removeFromQueue(t *Txn) {
 		busy[i>>6] &^= 1 << (uint(i) & 63)
 	}
 	if t.Op.Type == mem.Write {
+		ch.nWrite--
 		ch.rankNWrite[t.Loc.Rank]--
 		if ch.rankNWrite[t.Loc.Rank] == 0 {
 			ch.rankBusyWrite &^= 1 << uint(t.Loc.Rank)
 		}
 	} else {
+		ch.nRead--
 		ch.rankNRead[t.Loc.Rank]--
 		if ch.rankNRead[t.Loc.Rank] == 0 {
 			ch.rankBusyRead &^= 1 << uint(t.Loc.Rank)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -122,19 +123,23 @@ func TestGoldenCycleEquivalence(t *testing.T) {
 }
 
 // TestIdleSkipEquivalence runs representative configs twice in-process —
-// fast-forwarding and straight-line (DisableIdleSkip) — and requires the
-// full summaries, the final DRAM cycle and the per-core CPU counters to
-// match exactly. Together with the pinned goldens this proves the
-// optimized loop, with and without skipping, reproduces the
-// pre-optimization simulator cycle for cycle. The low-MPKI cases cover the
-// fast-forward through compute gaps, where cores keep retiring while the
-// loop skips; one adds a fault campaign (its wakes clamp the skip) and one
-// an epoch series (epoch boundaries chunk it).
+// with every shortcut and as the plain loop (DisableIdleSkip), which calls
+// every core's Cycle on every CPU cycle — and requires the full summaries,
+// the final DRAM cycle and the per-core CPU counters to match exactly.
+// Together with the pinned goldens this proves the optimized loop
+// reproduces the pre-optimization simulator cycle for cycle. The low-MPKI
+// cases cover the fast-forward through compute gaps, where cores keep
+// retiring while the loop skips; one adds a fault campaign (its wakes clamp
+// the skip) and one an epoch series (epoch boundaries chunk it). In the
+// backpressure-heavy cases (4 cores on one channel, the 8-core mix, an
+// LLC-filtered 4-core run) 75-96% of the core-cycles the loop steps take
+// the blocked or backpressure-frozen shortcut instead of a Cycle call.
 func TestIdleSkipEquivalence(t *testing.T) {
 	type skipCase struct {
-		name  string
-		cfg   Config
-		epoch uint64 // obs.Series interval; 0 = no series
+		name    string
+		cfg     Config
+		epoch   uint64                // obs.Series interval; 0 = no series
+		sources func() []trace.Source // fresh per run when set
 	}
 	var cases []skipCase
 	golden := goldenConfigs(t)
@@ -171,9 +176,36 @@ func TestIdleSkipEquivalence(t *testing.T) {
 		skipCase{name: "ep/itesp+faults", cfg: faulted},
 		skipCase{name: "perlbench/itesp+series", cfg: lowMPKI("perlbench", "itesp", false), epoch: 25_000})
 
+	synergy4 := func(bench string) Config {
+		spec, err := workload.ByName(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{SchemeName: "synergy", Benchmark: spec, Cores: 4, Channels: 1,
+			OpsPerCore: 1500, Seed: 3}
+	}
+	llcHeavy := synergy4("lbm")
+	llcHeavy.FilterLLC, llcHeavy.LLCMBPerCore = true, 1
+	mixNames := []string{"lbm", "pr", "is", "cc", "mg", "mcf", "bwaves", "tc"}
+	mix := Config{SchemeName: "itesp", Cores: len(mixNames), Channels: 2, OpsPerCore: 1000, Seed: 9,
+		Faults: fault.Config{N: 16, Kind: "chip", Seed: 9, Interval: 4000, SpanBlocks: 1024, ScrubInterval: 100}}
+	cases = append(cases,
+		skipCase{name: "pr/synergy x4", cfg: synergy4("pr")},
+		skipCase{name: "lbm/synergy x4+llc", cfg: llcHeavy},
+		skipCase{name: "mix8/itesp+faults", cfg: mix, sources: func() []trace.Source {
+			srcs, _, err := workload.MixSources(mixNames, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return srcs
+		}})
+
 	run := func(c skipCase, skip bool) (*Result, *obs.Observer) {
 		cfg := c.cfg
 		cfg.DisableIdleSkip = !skip
+		if c.sources != nil {
+			cfg.Sources = c.sources()
+		}
 		ob := obs.New(obs.Config{Metrics: true, EpochCycles: c.epoch})
 		cfg.Obs = ob
 		res, err := Run(cfg)

@@ -78,12 +78,12 @@ type Config struct {
 	// (perfbench/stepdriver.go) still reads it; delete it when a benchmark
 	// change drops it there.
 	TickWorkers int
-	// DisableIdleSkip forces the straight-line tick-by-tick loop, never
-	// fast-forwarding: neither through idle periods nor through compute
-	// gaps in which the cores only retire instructions. Results are
-	// bit-identical with and without skipping (the idle-skip equivalence
-	// test asserts this); the knob exists for that comparison and for
-	// debugging.
+	// DisableIdleSkip forces the plain loop: every core's Cycle runs on
+	// every CPU cycle, with no fast-forward (through idle periods or
+	// compute gaps in which the cores only retire) and no shortcut for
+	// blocked or frozen cores. Results are bit-identical either way (the
+	// idle-skip equivalence test asserts this); the knob exists to be that
+	// test's reference and for debugging.
 	DisableIdleSkip bool
 	// Faults configures the deterministic fault-injection campaign. The
 	// zero value disables it entirely, leaving the run bit-identical to a
@@ -467,12 +467,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	var sinceCancelCheck uint64
 
 	var wd drainWatchdog
+	pending := lazyCount(engine.Pending)
 	var tokenBuf []uint64
-	// coreActive[i] records whether core i's last Cycle call changed its
-	// state. A core whose last call did not is frozen until a completion
-	// or a change in the memory system's backpressure; only an active core
-	// can keep retiring through a fast-forward.
-	coreActive := make([]bool, len(cores))
+	// frozen[i]: core i's last Cycle changed no state and no read has
+	// completed for it since. It is Blocked, or was held back only by a
+	// rejected issue (cpu.Core.Blocked), which repeats exactly while
+	// Engine.Backpressured holds: a rejected Access has no side effects.
+	// Only an unfrozen core can keep retiring through a fast-forward.
+	frozen := make([]bool, len(cores))
 	for {
 		if cancelable {
 			if sinceCancelCheck++; sinceCancelCheck >= cancelStride {
@@ -502,35 +504,34 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		tokenBuf = tokens[:0]
 		for _, tok := range tokens {
 			cores[core.TokenCore(tok)].OnComplete(tok)
+			frozen[core.TokenCore(tok)] = false
 			progressed = true
 		}
 		opsBefore := engine.Stats.DataOps()
-		// A core blocked on memory cannot unblock within the burst
-		// (completions are delivered only before it, and only OnComplete
-		// clears the flag), so when every core is blocked the whole burst
-		// reduces to charging cpuPerDRAM stall cycles per core — the
-		// arithmetic identity of running the loop below.
-		allBlocked := true
-		for _, c := range cores {
-			if !c.Blocked() {
-				allBlocked = false
+		// A frozen core cannot thaw within the burst: completions are
+		// delivered only before it, and backpressure can only rise inside
+		// it (only Engine.Tick drains the spill). So a Blocked core, or a
+		// frozen one under backpressure, is charged its stall without a
+		// Cycle call, and when every core is done or so stalled, the whole
+		// burst is charged at once.
+		allStalled := !cfg.DisableIdleSkip
+		for j, c := range cores {
+			if !c.Done() && !c.Blocked() && (!frozen[j] || !engine.Backpressured()) {
+				allStalled = false
 				break
 			}
 		}
-		if allBlocked {
+		if allStalled {
 			cpuCycle += uint64(cpuPerDRAM)
 			for _, c := range cores {
 				c.AddIdleCycles(uint64(cpuPerDRAM))
 			}
 		}
-		for i := 0; !allBlocked && i < cpuPerDRAM; i++ {
+		for i := 0; !allStalled && i < cpuPerDRAM; i++ {
 			cpuCycle++
 			for j, c := range cores {
-				// Blocked cores inside a mixed burst still charge their
-				// stalls cycle by cycle (another core's issue cannot unblock
-				// them, but the loop order is part of the pinned behavior).
-				if c.Blocked() {
-					c.StallTick()
+				if !cfg.DisableIdleSkip && (c.Blocked() || frozen[j] && engine.Backpressured()) {
+					c.AddIdleCycles(1)
 					continue
 				}
 				before := c.Retired()
@@ -538,7 +539,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				coreActive[j] = active
+				frozen[j] = !active
 				if c.Retired() != before {
 					progressed = true
 				}
@@ -553,7 +554,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				return obs.ProgressStat{CPUCycles: cpuCycle, OpsDone: opsDone(), OpsTarget: opsTarget}
 			})
 		}
-		if err := wd.observe(progressed, 1, allDone, cpuCycle, engine.Pending()); err != nil {
+		if err := wd.observe(progressed, 1, allDone, cpuCycle, pending); err != nil {
 			return nil, err
 		}
 
@@ -573,7 +574,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		span := uint64(math.MaxUint64)
 		for j, c := range cores {
-			if coreActive[j] && !c.Done() {
+			if !frozen[j] && !c.Done() {
 				if span = min(span, c.RetireSpan()); span < uint64(cpuPerDRAM) {
 					break
 				}
@@ -610,10 +611,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			cc := chunk * uint64(cpuPerDRAM)
 			cpuCycle += cc
 			for j, c := range cores {
-				if coreActive[j] {
-					c.RetireCycles(cc)
-				} else {
+				if frozen[j] {
 					c.AddIdleCycles(cc)
+				} else {
+					c.RetireCycles(cc)
 				}
 			}
 			if series != nil && cpuCycle >= nextEpoch {
@@ -621,7 +622,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				nextEpoch += series.Interval()
 			}
 			// Retirement is forward progress, as it is cycle by cycle.
-			if err := wd.observe(anyRetiring, chunk, allDone, cpuCycle, engine.Pending()); err != nil {
+			if err := wd.observe(anyRetiring, chunk, allDone, cpuCycle, pending); err != nil {
 				return nil, err
 			}
 			skip -= chunk

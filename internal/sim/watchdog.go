@@ -43,10 +43,17 @@ type drainWatchdog struct {
 	idle uint64
 }
 
+// lazyCount formats as the count its function returns, which is therefore
+// read only when a watchdog error is built, not on every loop iteration.
+type lazyCount func() int
+
+func (f lazyCount) String() string { return fmt.Sprint(f()) }
+
 // observe records that `cycles` simulated DRAM cycles elapsed with
 // (progressed=true) or without (progressed=false) forward progress, and
-// returns a typed error when the no-progress budget is exhausted.
-func (w *drainWatchdog) observe(progressed bool, cycles uint64, allDone bool, cpuCycle uint64, pending int) error {
+// returns a typed error, reporting pending (an int or a lazyCount), when
+// the no-progress budget is exhausted.
+func (w *drainWatchdog) observe(progressed bool, cycles uint64, allDone bool, cpuCycle uint64, pending any) error {
 	if progressed {
 		w.idle = 0
 		return nil
@@ -55,12 +62,12 @@ func (w *drainWatchdog) observe(progressed bool, cycles uint64, allDone bool, cp
 	if allDone {
 		// Draining residual writes; refresh-bound, give it time.
 		if w.idle > drainLimit {
-			return fmt.Errorf("%w after %d idle cycles at cycle %d (pending=%d)", ErrDrainStall, w.idle, cpuCycle, pending)
+			return fmt.Errorf("%w after %d idle cycles at cycle %d (pending=%v)", ErrDrainStall, w.idle, cpuCycle, pending)
 		}
 		return nil
 	}
 	if w.idle > deadlockLimit {
-		return fmt.Errorf("%w at cycle %d (pending=%d)", ErrDeadlock, cpuCycle, pending)
+		return fmt.Errorf("%w at cycle %d (pending=%v)", ErrDeadlock, cpuCycle, pending)
 	}
 	return nil
 }

@@ -9,22 +9,128 @@
 # machine-checkable from one file.
 #
 # Usage: scripts/bench.sh [full|smoke]
+#        scripts/bench.sh ab <rev>
 #   full   default benchtime; stable numbers (~1 min)
 #   smoke  -benchtime=1x: proves the benchmark paths run and the JSON is
 #          well-formed (CI). Microbenchmark timings at one iteration are
 #          noise; the Fig 8 number is real since its single iteration is a
 #          complete simulation sweep.
+#   ab     same-host paired comparison of git revision <rev> ("before")
+#          against this working tree ("after"); see ab_compare below.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# ab_compare builds <rev> in a temporary git worktree, compiles the root
+# and internal/sim test binaries of both trees, and runs min-of-N trials of
+# BenchmarkFig8ExecutionTime and BenchmarkSim{NonSecure,Synergy,ITESP,LowMPKI}
+# ABBA-interleaved (odd trials run before first, even trials after first),
+# which filters host-speed drift better than back-to-back repeats. Each
+# binary runs from its own tree's package directory. It prints one JSON
+# object {"recorded", "before", "after"} whose before/after map each
+# benchmark to the fields of its fastest trial; a frozen before/after
+# section of BENCH_hotloop.json is this object pasted into the heredoc
+# below. Eight trials at 2 (Fig 8) and 8 (internal/sim) iterations take
+# about two and a half minutes on a 2-CPU host.
+ab_compare() {
+	rev="$1"
+	trials=8
+	fig8bt=2x
+	simbt=8x
+	tmp="$(mktemp -d)"
+	trap 'git worktree remove --force "$tmp/before" >/dev/null 2>&1 || true; rm -rf "$tmp"; git worktree prune' EXIT
+	git worktree add --quiet --detach "$tmp/before" "$rev"
+	for side in before after; do
+		tree=.
+		[ "$side" = before ] && tree="$tmp/before"
+		(cd "$tree" && go test -c -o "$tmp/$side.root.test" . &&
+			go test -c -o "$tmp/$side.sim.test" ./internal/sim)
+	done
+	here="$(pwd)"
+	runside() {
+		tree="$here"
+		[ "$1" = before ] && tree="$tmp/before"
+		echo "trial $2: $1" >&2
+		(cd "$tree" && "$tmp/$1.root.test" -test.run '^$' -test.bench '^BenchmarkFig8ExecutionTime$' \
+			-test.benchtime "$fig8bt" -test.benchmem -test.timeout 30m) >"$tmp/out"
+		(cd "$tree/internal/sim" && "$tmp/$1.sim.test" -test.run '^$' \
+			-test.bench '^BenchmarkSim(NonSecure|Synergy|ITESP|LowMPKI)$' \
+			-test.benchtime "$simbt" -test.benchmem -test.timeout 30m) >>"$tmp/out"
+		sed -n -e "s/^Benchmark/$1 Benchmark/p" -e '/^cpu: /p' "$tmp/out" >>"$tmp/raw"
+	}
+	for t in $(seq 1 "$trials"); do
+		if [ $((t % 2)) -eq 1 ]; then
+			runside before "$t"
+			runside after "$t"
+		else
+			runside after "$t"
+			runside before "$t"
+		fi
+	done
+	awk -v rev="$rev" -v head="$(git describe --always --dirty)" -v trials="$trials" \
+		-v fig8bt="$fig8bt" -v simbt="$simbt" -v ncpu="$(getconf _NPROCESSORS_ONLN)" \
+		-v gover="$(go env GOVERSION)" '
+		/^cpu: / {
+			cpu = substr($0, 6)
+			next
+		}
+		{
+			side = $1
+			name = $2
+			sub(/-[0-9]+$/, "", name)
+			fields = ""
+			for (i = 4; i + 1 <= NF; i += 2) {
+				key = $(i + 1)
+				gsub(/\//, "_per_", key)
+				fields = fields sprintf("%s\"%s\": %s", (fields == "" ? "" : ", "), key, $i)
+			}
+			k = side SUBSEP name
+			if (!(k in best) || $4 + 0 < best[k]) {
+				best[k] = $4 + 0
+				rec[k] = fields
+			}
+			if (!(name in seen)) {
+				seen[name] = 1
+				order[++n] = name
+			}
+		}
+		END {
+			printf "{\n  \"recorded\": \"before: %s; after: the working tree (%s); ", rev, head
+			printf "min of %s ABBA-interleaved trials at -benchtime %s (Fig 8) and %s (internal/sim); ", trials, fig8bt, simbt
+			printf "%s-CPU %s host, %s\",\n", ncpu, cpu, gover
+			split("before after", sides, " ")
+			for (s = 1; s <= 2; s++) {
+				printf "  \"%s\": {\n", sides[s]
+				sep = ""
+				for (i = 1; i <= n; i++) {
+					k = sides[s] SUBSEP order[i]
+					if (k in rec) {
+						printf "%s    \"%s\": {%s}", sep, order[i], rec[k]
+						sep = ",\n"
+					}
+				}
+				printf "\n  }%s\n", (s == 1 ? "," : "")
+			}
+			print "}"
+		}
+	' "$tmp/raw"
+}
 
 mode="${1:-full}"
 benchtime=""
 case "$mode" in
 full) ;;
 smoke) benchtime="-benchtime=1x" ;;
+ab)
+	if [ $# -ne 2 ]; then
+		echo "usage: $0 ab <rev>" >&2
+		exit 2
+	fi
+	ab_compare "$2"
+	exit 0
+	;;
 *)
-	echo "usage: $0 [full|smoke]" >&2
+	echo "usage: $0 [full|smoke] | $0 ab <rev>" >&2
 	exit 2
 	;;
 esac
@@ -139,6 +245,25 @@ done
     },
     "after": {
       "BenchmarkFig8ExecutionTime": {"ns_per_op": 1929059569, "B_per_op": 21916188, "allocs_per_op": 51943, "itesp_vs_synergy_pct": 81.16}
+    }
+  },
+  "backpressure_freeze": {
+    "recorded": "sim.RunContext before (commit 0ef9e04) and after cores frozen by backpressure stopped calling Cycle (with the missed blocked case and the flat DRAM queues removed); scripts/bench.sh ab: min of 8 ABBA-interleaved trials at -benchtime 2x (Fig 8) and 8x (internal/sim); 2-CPU Intel(R) Xeon(R) Processor host, go1.24.0",
+    "before": {
+      "BenchmarkFig8ExecutionTime": {"ns_per_op": 2047007999, "itesp_vs_synergy_pct": 81.16, "B_per_op": 21915620, "allocs_per_op": 51937},
+      "BenchmarkSimNonSecure": {"ns_per_op": 22033120, "B_per_op": 309730, "allocs_per_op": 885},
+      "BenchmarkSimSynergy": {"ns_per_op": 90449414, "B_per_op": 365796, "allocs_per_op": 1247},
+      "BenchmarkSimITESP": {"ns_per_op": 41797121, "B_per_op": 366177, "allocs_per_op": 1205},
+      "BenchmarkSimLowMPKI/ep": {"ns_per_op": 25192383, "B_per_op": 217827, "allocs_per_op": 962},
+      "BenchmarkSimLowMPKI/perlbench": {"ns_per_op": 23449289, "B_per_op": 227811, "allocs_per_op": 991}
+    },
+    "after": {
+      "BenchmarkFig8ExecutionTime": {"ns_per_op": 1704090549, "itesp_vs_synergy_pct": 81.16, "B_per_op": 21843460, "allocs_per_op": 51475},
+      "BenchmarkSimNonSecure": {"ns_per_op": 17545986, "B_per_op": 307714, "allocs_per_op": 872},
+      "BenchmarkSimSynergy": {"ns_per_op": 88416375, "B_per_op": 364434, "allocs_per_op": 1235},
+      "BenchmarkSimITESP": {"ns_per_op": 37704820, "B_per_op": 364161, "allocs_per_op": 1192},
+      "BenchmarkSimLowMPKI/ep": {"ns_per_op": 23345394, "B_per_op": 216079, "allocs_per_op": 949},
+      "BenchmarkSimLowMPKI/perlbench": {"ns_per_op": 24000048, "B_per_op": 225949, "allocs_per_op": 978}
     }
   },
   "current": {
