@@ -10,16 +10,19 @@ import (
 	"repro/internal/trace"
 )
 
-func benchEngine(b *testing.B, schemeName string) {
-	b.Helper()
+// steadyEngine builds a one-channel engine for the named scheme, warms its
+// pools with a burst of random accesses, and returns a step that offers one
+// more access (unless backpressured) and ticks the engine once.
+func steadyEngine(tb testing.TB, schemeName string) func() {
+	tb.Helper()
 	scheme, err := SchemeByName(schemeName, 2)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	geom := addrmap.DefaultGeometry(1)
 	pol, err := addrmap.ByName("rbh2", geom)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dmem := dram.New(dram.DefaultConfig(1))
 	encl := enclave.NewDenseSystem(1 << 20)
@@ -28,11 +31,9 @@ func benchEngine(b *testing.B, schemeName string) {
 	}
 	eng, err := New(Config{Scheme: scheme, Policy: pol, Cores: 2, DataPages: 1 << 20}, dmem, encl)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 
-	// Warm the pools: run a burst of accesses to steady state so the
-	// measured loop reflects amortized (recycled) allocation behavior.
 	state := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 {
 		state ^= state << 13
@@ -41,28 +42,43 @@ func benchEngine(b *testing.B, schemeName string) {
 		return state
 	}
 	var tokens []uint64
-	issue := func() {
-		typ := mem.Read
-		if next()%4 == 0 {
-			typ = mem.Write
-		}
-		va := mem.VirtAddr(next() % (1 << 28) * mem.BlockSize)
-		eng.Access(0, trace.Record{Type: typ, VAddr: va})
-	}
-	for i := 0; i < 5000; i++ {
+	step := func() {
 		if !eng.Backpressured() {
-			issue()
+			typ := mem.Read
+			if next()%4 == 0 {
+				typ = mem.Write
+			}
+			va := mem.VirtAddr(next() % (1 << 28) * mem.BlockSize)
+			eng.Access(0, trace.Record{Type: typ, VAddr: va})
 		}
 		tokens, _ = eng.Tick(tokens[:0])
 	}
+	// Warm the pools to steady state so callers see amortized (recycled)
+	// allocation behavior.
+	for i := 0; i < 5000; i++ {
+		step()
+	}
+	return step
+}
 
+func benchEngine(b *testing.B, schemeName string) {
+	step := steadyEngine(b, schemeName)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !eng.Backpressured() {
-			issue()
+		step()
+	}
+}
+
+// TestEngineTickDoesNotAllocate holds the Access+Tick hot path to zero
+// allocations per cycle at steady state, for the schemes
+// BenchmarkEngineTick measures.
+func TestEngineTickDoesNotAllocate(t *testing.T) {
+	for _, s := range []string{"nonsecure", "itesp", "vault"} {
+		step := steadyEngine(t, s)
+		if a := testing.AllocsPerRun(5000, step); a != 0 {
+			t.Errorf("%s: %v allocations per cycle, want 0", s, a)
 		}
-		tokens, _ = eng.Tick(tokens[:0])
 	}
 }
 

@@ -7,26 +7,18 @@ import (
 	"repro/internal/mem"
 )
 
-// BenchmarkStreamingReads measures simulator throughput (DRAM cycles and
-// transactions per second) under a saturating row-hit read stream. The
-// transaction objects and the completion buffer are recycled so the
-// steady-state tick path reports its true allocation count.
-func BenchmarkStreamingReads(b *testing.B) {
+// streamingReads returns a step that tops up channel 0's read queue with
+// row hits, spread over every rank and bank, and ticks the memory once. It
+// returns the completions; transaction objects and the completion buffer
+// are recycled, so the steady state allocates nothing.
+func streamingReads() func() int {
 	m := New(DefaultConfig(1))
 	g := m.Config().Geom
 	issued := 0
-	completed := 0
-	var pool []*Txn
-	var done []*Txn
-	b.ReportAllocs()
-	for completed < b.N {
-		for issued < b.N+64 && m.CanEnqueue(0, mem.Read) {
-			var t *Txn
-			if n := len(pool); n > 0 {
-				t, pool = pool[n-1], pool[:n-1]
-			} else {
-				t = new(Txn)
-			}
+	var pool, done []*Txn
+	return func() int {
+		for m.CanEnqueue(0, mem.Read) {
+			t := recycle(&pool)
 			*t = Txn{Op: mem.Op{Type: mem.Read}, Loc: addrmap.Location{
 				Rank:   issued % g.RanksPerChan,
 				Bank:   (issued / g.RanksPerChan) % g.BanksPerRank,
@@ -36,14 +28,16 @@ func BenchmarkStreamingReads(b *testing.B) {
 			issued++
 		}
 		done, _ = m.Tick(done[:0])
-		completed += len(done)
 		pool = append(pool, done...)
+		return len(done)
 	}
 }
 
-// BenchmarkRandomMix measures throughput under a random read/write mix with
-// frequent row conflicts — the scheduler's hard case.
-func BenchmarkRandomMix(b *testing.B) {
+// randomMix returns a step that offers one random transaction (40% writes,
+// random rank, bank, row and column: frequent row conflicts, the
+// scheduler's hard case) and ticks the memory once. It recycles like
+// streamingReads.
+func randomMix() func() int {
 	m := New(DefaultConfig(1))
 	g := m.Config().Geom
 	state := uint64(88172645463325252)
@@ -53,32 +47,70 @@ func BenchmarkRandomMix(b *testing.B) {
 		state ^= state << 17
 		return int(state % uint64(n))
 	}
-	issued, completed := 0, 0
-	var pool []*Txn
-	var done []*Txn
-	b.ReportAllocs()
-	for completed < b.N {
-		t := mem.Read
+	var pool, done []*Txn
+	return func() int {
+		typ := mem.Read
 		if next(100) < 40 {
-			t = mem.Write
+			typ = mem.Write
 		}
-		if m.CanEnqueue(0, t) && issued < b.N+64 {
-			var txn *Txn
-			if n := len(pool); n > 0 {
-				txn, pool = pool[n-1], pool[:n-1]
-			} else {
-				txn = new(Txn)
-			}
-			*txn = Txn{Op: mem.Op{Type: t}, Loc: addrmap.Location{
+		if m.CanEnqueue(0, typ) {
+			t := recycle(&pool)
+			*t = Txn{Op: mem.Op{Type: typ}, Loc: addrmap.Location{
 				Rank: next(g.RanksPerChan), Bank: next(g.BanksPerRank),
 				Row: next(g.RowsPerBank), Column: next(g.ColumnsPerRow),
 			}}
-			m.Enqueue(txn)
-			issued++
+			m.Enqueue(t)
 		}
 		done, _ = m.Tick(done[:0])
-		completed += len(done)
 		pool = append(pool, done...)
+		return len(done)
+	}
+}
+
+func recycle(pool *[]*Txn) *Txn {
+	if n := len(*pool); n > 0 {
+		t := (*pool)[n-1]
+		*pool = (*pool)[:n-1]
+		return t
+	}
+	return new(Txn)
+}
+
+// TestTickPathsDoNotAllocate holds Memory.Tick, with the arrivals that feed
+// it, to zero allocations per cycle once the queues, candidate lists and
+// completion buffers have reached their steady-state size.
+func TestTickPathsDoNotAllocate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		step func() int
+	}{{"streaming reads", streamingReads()}, {"random mix", randomMix()}} {
+		for i := 0; i < 50_000; i++ {
+			tc.step()
+		}
+		if a := testing.AllocsPerRun(20_000, func() { tc.step() }); a != 0 {
+			t.Errorf("%s: %v allocations per cycle, want 0", tc.name, a)
+		}
+	}
+}
+
+// BenchmarkStreamingReads measures simulator throughput (DRAM cycles and
+// transactions per second) under a saturating row-hit read stream; one op
+// is one completed transaction.
+func BenchmarkStreamingReads(b *testing.B) {
+	step := streamingReads()
+	b.ReportAllocs()
+	for completed := 0; completed < b.N; {
+		completed += step()
+	}
+}
+
+// BenchmarkRandomMix measures throughput under a random read/write mix with
+// frequent row conflicts; one op is one completed transaction.
+func BenchmarkRandomMix(b *testing.B) {
+	step := randomMix()
+	b.ReportAllocs()
+	for completed := 0; completed < b.N; {
+		completed += step()
 	}
 }
 

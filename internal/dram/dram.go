@@ -3,7 +3,7 @@ package dram
 import (
 	"fmt"
 	"math"
-	"math/bits"
+	"slices"
 	"strconv"
 
 	"repro/internal/addrmap"
@@ -67,25 +67,13 @@ type Txn struct {
 	RowHit bool
 
 	neededAct bool
-	colIssued bool
-	// seq is the channel-local arrival order the bank-indexed FR-FCFS
-	// scan breaks ties by, as an oldest-first scan of the queue would.
+	// seq is the channel-local arrival order that keeps the candidate
+	// lists in the order an oldest-first scan of the queue would meet them.
 	seq uint64
 }
 
 // Latency returns the queueing+service latency in DRAM cycles.
 func (t *Txn) Latency() uint64 { return t.Done - t.Arrival }
-
-// cmd enumerates DRAM commands for the scheduler.
-type cmd uint8
-
-const (
-	cmdNone cmd = iota
-	cmdAct
-	cmdPre
-	cmdRead
-	cmdWrite
-)
 
 // bank is the per-bank row-buffer state machine.
 type bank struct {
@@ -138,138 +126,124 @@ func (s *ChannelStats) RowHitRate() float64 {
 	return float64(s.RowHits.Value()) / float64(total)
 }
 
-// bankList holds one bank's queued transactions (one direction) in arrival
-// order, plus lazily maintained class representatives: hitRep is the oldest
+// bankList holds one bank's queued transactions of one direction in arrival
+// order, plus its two class representatives: hitRep is the oldest
 // transaction targeting the open row, missRep the oldest needing a PRE (open
-// bank) or ACT (closed bank). Because every scheduler gate is bank- or
-// rank-level and a queue has a uniform direction, these two are the only
-// transactions FR-FCFS can ever pick from this bank, turning the O(queue)
-// scan into an O(banks) one. dirty is set when the bank's open row changes
-// or a member leaves; enqueues update the reps incrementally.
+// bank) or ACT (closed bank). Every scheduler gate is bank- or rank-level and
+// a queue has a uniform direction, so same-bank same-class transactions are
+// interchangeable and FR-FCFS can only ever pick one of these two.
 type bankList struct {
 	txns    []*Txn
 	hitRep  *Txn
 	missRep *Txn
-	dirty   bool
 }
 
-// recompute rebuilds the representatives against the bank's current row
+// reps returns the bank's class representatives against its current row
 // state.
-func (bl *bankList) recompute(bk *bank) {
-	bl.dirty = false
-	bl.hitRep, bl.missRep = nil, nil
+func (bl *bankList) reps(bk *bank) (hit, miss *Txn) {
 	if !bk.open {
 		if len(bl.txns) > 0 {
-			bl.missRep = bl.txns[0]
+			miss = bl.txns[0]
 		}
-		return
+		return nil, miss
 	}
 	for _, t := range bl.txns {
 		if t.Loc.Row == bk.row {
-			if bl.hitRep == nil {
-				bl.hitRep = t
+			if hit == nil {
+				hit = t
 			}
-		} else if bl.missRep == nil {
-			bl.missRep = t
+		} else if miss == nil {
+			miss = t
 		}
-		if bl.hitRep != nil && bl.missRep != nil {
-			return
+		if hit != nil && miss != nil {
+			break
 		}
+	}
+	return hit, miss
+}
+
+// queue is one direction's transaction queue. The transactions live only in
+// per-(rank,bank) lists; hits and miss hold every bank's hitRep and missRep
+// in arrival order, which makes them exactly the candidates an oldest-first
+// scan of the whole queue could pick, in the order it would meet them. They
+// are kept current eagerly: an arrival can only fill an empty class, so it
+// appends; a column command hands its hit slot to the next same-row
+// transaction; an ACT or PRE recomputes its bank's pair in both directions.
+type queue struct {
+	n, cap   int // occupancy and capacity
+	banks    []bankList
+	hits     []cand
+	miss     []cand
+	rankHits []int // hits entries per rank
+}
+
+// cand is a class representative as the scan sees it: its arrival order and
+// its bank, which is all its readiness depends on. Holding no pointer, the
+// lists shift without write barriers and the scan never loads a Txn.
+type cand struct {
+	seq  uint64
+	bank int32 // index into channel.banks and queue.banks
+	rank int32
+}
+
+// setReps installs bank i's class representatives, moving them in the
+// arrival-ordered candidate lists.
+func (q *queue) setReps(i int, hit, miss *Txn) {
+	bl := &q.banks[i]
+	if hit != bl.hitRep {
+		if bl.hitRep != nil {
+			q.hits = removeCand(q.hits, bl.hitRep.seq)
+			q.rankHits[bl.hitRep.Loc.Rank]--
+		}
+		if hit != nil {
+			q.hits = insertCand(q.hits, cand{hit.seq, int32(i), int32(hit.Loc.Rank)})
+			q.rankHits[hit.Loc.Rank]++
+		}
+		bl.hitRep = hit
+	}
+	if miss != bl.missRep {
+		if bl.missRep != nil {
+			q.miss = removeCand(q.miss, bl.missRep.seq)
+		}
+		if miss != nil {
+			q.miss = insertCand(q.miss, cand{miss.seq, int32(i), int32(miss.Loc.Rank)})
+		}
+		bl.missRep = miss
 	}
 }
 
-// Per-rank cached class release times live in two flat uint64 arrays per
-// queue direction (relHit*/relOther* on channel) so the scheduler's
-// every-scan fold touches a handful of contiguous cache lines instead of a
-// struct per rank. relHit[r] is the earliest cycle a row-hit column command
-// could issue ignoring the shared data bus (the bus gate has only two
-// per-scan values, same-rank and cross-rank, applied live); relOther[r] is
-// the earlier of the rank's PRE and ACT releases (ACT counts as MaxUint64
-// while a refresh is pending). MaxUint64 also means the class has no
-// candidates. Every term is an absolute timer over state that changes only
-// when a command issues on the rank, a transaction arrives for it, or its
-// refresh state changes, so a cached entry lets the scan skip the rank's
-// banks entirely while no class has matured. Entries are invalidated by
-// zeroing relOther (zero always reads as matured, forcing the walk that
-// rebuilds both values); arrivals instead fold the newcomer's bank timer in
-// as a conservatively early bound.
-//
-// Alongside the release times, each rank also caches the class
-// representatives themselves (colRep*/anyRep*): the minimum-seq member of
-// each class that is ready ignoring the shared data bus. Within a rank the
-// bus gate is uniform, so the ready set of a class — and therefore its
-// min-seq representative — can change over time only when a member's own
-// release crosses now. repUntil* records the earliest such future crossing
-// (the first "joiner"); while now < repUntil and no state-changing event
-// has hit the rank, the cached representatives are exactly what a walk
-// would pick, so a matured rank costs one pointer compare instead of a
-// bank walk. Unlike the release times, representatives have no safe stale
-// direction (issuing a stale candidate would violate timing), so every
-// event that mutates rank-local scheduler state zeroes repUntil: any
-// command issued on the rank (column issues remove the representative and
-// raise bank/wtr timers), an arrival for the rank, a refresh drain PRE, a
-// REF issue, and the refPending flip (which withholds ACT candidates).
+func removeCand(list []cand, seq uint64) []cand {
+	i := slices.IndexFunc(list, func(c cand) bool { return c.seq == seq })
+	return slices.Delete(list, i, i+1)
+}
+
+// insertCand inserts c at its arrival position; an arrival, the youngest
+// transaction, lands at the end at once.
+func insertCand(list []cand, c cand) []cand {
+	list = append(list, c)
+	i := len(list) - 1
+	for ; i > 0 && list[i-1].seq > c.seq; i-- {
+		list[i] = list[i-1]
+	}
+	list[i] = c
+	return list
+}
 
 // channel is one DDR channel: queues, banks, bus, and scheduler state.
 type channel struct {
 	cfg   Config
 	ranks []rank
+	banks []bank // contiguous bank states; rank.banks alias into it
 
-	nRead, nWrite int // read and write queue occupancy
-	// bankRead/bankWrite hold the queued transactions bucketed by (rank,
-	// bank) so the FR-FCFS scan touches each bank's two class
-	// representatives instead of every queued transaction.
-	// busyRead/busyWrite are occupancy bitmaps over the same index space so
-	// the scan visits only nonempty banks (occupancy is typically a small
-	// fraction of ranks*banks). rankOf and bankOf flatten the bank index
-	// back to rank number and bank state without a division on the hot
-	// path.
-	bankRead  []bankList
-	bankWrite []bankList
-	busyRead  []uint64
-	busyWrite []uint64
-	rankOf    []uint16
-	banks     []bank // contiguous bank states; rank.banks alias into it
-	// Cached per-rank class releases (see the comment above channel): one
-	// hit/other pair per direction, carved from a single backing array so
-	// the whole fast path spans eight consecutive cache lines.
-	relHitR   []uint64
-	relOtherR []uint64
-	relHitW   []uint64
-	relOtherW []uint64
-	// relNext*[r] = min(relHit*[r], relOther*[r]), maintained alongside the
-	// pair so the scan's common case — a rank with nothing matured and the
-	// bus gate clear — costs a single load and compare.
-	relNextR []uint64
-	relNextW []uint64
-	// Cached per-rank class representatives with their validity horizon
-	// (see the comment above channel). repUntil==0 means invalid.
-	colRepR   []*Txn
-	colRepW   []*Txn
-	anyRepR   []*Txn
-	anyRepW   []*Txn
-	anyCmdR   []cmd
-	anyCmdW   []cmd
-	repUntilR []uint64
-	repUntilW []uint64
-	seq       uint64 // arrival counter feeding Txn.seq
+	reads, writes queue
+	seq           uint64 // arrival counter feeding Txn.seq
 
-	// rankBusyRead/rankBusyWrite summarize the bank bitmaps one level up:
-	// bit r is set while rank r holds any queued transaction of that
-	// direction (counts back the bits). The scheduler scan iterates set
-	// bits only — an empty rank has no candidates and no finite release
-	// times to fold, so skipping it is exact.
-	rankBusyRead  uint64
-	rankBusyWrite uint64
-	rankNRead     []uint16
-	rankNWrite    []uint16
-
-	// pending completions ordered by insertion; completion times are
-	// monotonic enough that a linear scan each cycle is cheap (queues are
-	// small), but we keep them sorted for determinism. nextDone is the
-	// exact minimum Done over pending (maintained on append, recomputed on
-	// delivery; Done never changes once set), so the delivery scan runs
-	// only on cycles a burst actually lands.
+	// pending holds issued transactions until their data burst lands. The
+	// data bus serializes bursts, so at most one lands per cycle and the
+	// delivery order is fixed. nextDone is the exact minimum Done over
+	// pending (maintained on append, recomputed on delivery; Done never
+	// changes once set), so the delivery scan runs only on cycles a burst
+	// actually lands.
 	pending  []*Txn
 	nextDone uint64
 
@@ -278,14 +252,14 @@ type channel struct {
 	lastWasWr bool
 	draining  bool
 
-	// nextTry memoizes a failed scheduler scan: no queued transaction can
-	// have an issuable command before this cycle unless the scheduler state
-	// changes first. Every gating condition in cmdReady compares now against
-	// an absolute timer over state that only changes when a command issues
+	// nextTry memoizes a failed scheduler scan: the exact earliest cycle
+	// any queued transaction's next command becomes issuable unless the
+	// scheduler state changes first. Every gate compares now against an
+	// absolute timer over state that only changes when a command issues
 	// (bank/bus/rank timers, lastRank) or a transaction arrives, so a scan
-	// that finds nothing issuable also yields the exact earliest re-check
-	// time; issues and enqueues reset the memo to 0 (always scan). This
-	// skips the O(queue) FR-FCFS scan on the majority of ticks.
+	// that finds nothing issuable folds each candidate's release into it;
+	// issues reset it to 0 (always scan) and arrivals lower it to their own
+	// release. This skips the FR-FCFS scan on the majority of ticks.
 	nextTry uint64
 
 	// refNext memoizes the refresh state machine the same way: the
@@ -298,9 +272,9 @@ type channel struct {
 	// exact. Reset to 0 whenever issueRefresh acts.
 	refNext uint64
 
-	// check, when attached, validates every issued command against JEDEC
-	// timing invariants (test instrumentation).
-	check *Checker
+	// check, when attached, observes every issued command: the JEDEC timing
+	// Checker, or in this package's tests a recorder wrapped around one.
+	check monitor
 
 	// tr, when attached, receives one instant event per issued DRAM
 	// command on this channel's trace track.
@@ -308,6 +282,14 @@ type channel struct {
 	track obs.TrackID
 
 	Stats ChannelStats
+}
+
+// monitor observes a channel's command stream; *Checker implements it.
+type monitor interface {
+	OnActivate(now uint64, rank, bank, row int)
+	OnPrecharge(now uint64, rank, bank int)
+	OnColumn(now uint64, rank, bank, row int, isWrite bool)
+	OnRefresh(now uint64, rank int)
 }
 
 // Memory is the full multi-channel DRAM system.
@@ -329,43 +311,28 @@ func New(cfg Config) *Memory {
 		panic(fmt.Sprintf("dram: TickWorkers=%d: channel-parallel ticking was removed", cfg.TickWorkers))
 	}
 	m := &Memory{cfg: cfg}
-	for c := 0; c < cfg.Geom.Channels; c++ {
-		ch := &channel{cfg: cfg, lastRank: -1}
-		ch.ranks = make([]rank, cfg.Geom.RanksPerChan)
-		nb := cfg.Geom.RanksPerChan * cfg.Geom.BanksPerRank
-		ch.bankRead = make([]bankList, nb)
-		ch.bankWrite = make([]bankList, nb)
-		ch.busyRead = make([]uint64, (nb+63)/64)
-		ch.busyWrite = make([]uint64, (nb+63)/64)
-		ch.rankOf = make([]uint16, nb)
-		rel := make([]uint64, 6*cfg.Geom.RanksPerChan)
-		nr := cfg.Geom.RanksPerChan
-		ch.relHitR, ch.relOtherR = rel[0:nr], rel[nr:2*nr]
-		ch.relHitW, ch.relOtherW = rel[2*nr:3*nr], rel[3*nr:4*nr]
-		ch.relNextR, ch.relNextW = rel[4*nr:5*nr], rel[5*nr:6*nr]
-		reps := make([]*Txn, 4*nr)
-		ch.colRepR, ch.colRepW = reps[0:nr], reps[nr:2*nr]
-		ch.anyRepR, ch.anyRepW = reps[2*nr:3*nr], reps[3*nr:4*nr]
-		cmds := make([]cmd, 2*nr)
-		ch.anyCmdR, ch.anyCmdW = cmds[0:nr], cmds[nr:2*nr]
-		ru := make([]uint64, 2*nr)
-		ch.repUntilR, ch.repUntilW = ru[0:nr], ru[nr:2*nr]
-		if cfg.Geom.RanksPerChan > 64 {
-			panic("dram: rank occupancy bitmap supports at most 64 ranks per channel")
+	g := cfg.Geom
+	nb := g.RanksPerChan * g.BanksPerRank
+	newQueue := func(capacity int) queue {
+		reps := min(nb, capacity)
+		return queue{
+			cap:      capacity,
+			banks:    make([]bankList, nb),
+			hits:     make([]cand, 0, reps),
+			miss:     make([]cand, 0, reps),
+			rankHits: make([]int, g.RanksPerChan),
 		}
-		ch.rankNRead = make([]uint16, cfg.Geom.RanksPerChan)
-		ch.rankNWrite = make([]uint16, cfg.Geom.RanksPerChan)
+	}
+	for c := 0; c < g.Channels; c++ {
+		ch := &channel{cfg: cfg, lastRank: -1, reads: newQueue(cfg.ReadQ), writes: newQueue(cfg.WriteQ)}
+		ch.ranks = make([]rank, g.RanksPerChan)
 		// One contiguous backing array for all banks keeps the scan's
 		// bank-state loads on a handful of cache lines.
-		store := make([]bank, nb)
-		ch.banks = store
+		ch.banks = make([]bank, nb)
 		for r := range ch.ranks {
-			ch.ranks[r].banks = store[r*cfg.Geom.BanksPerRank : (r+1)*cfg.Geom.BanksPerRank]
+			ch.ranks[r].banks = ch.banks[r*g.BanksPerRank : (r+1)*g.BanksPerRank]
 			// Stagger refreshes across ranks to avoid lockstep stalls.
-			ch.ranks[r].nextRef = cfg.Timing.TREFI * uint64(r+1) / uint64(cfg.Geom.RanksPerChan+1)
-			for b := range ch.ranks[r].banks {
-				ch.rankOf[r*cfg.Geom.BanksPerRank+b] = uint16(r)
-			}
+			ch.ranks[r].nextRef = cfg.Timing.TREFI * uint64(r+1) / uint64(g.RanksPerChan+1)
 		}
 		m.channels = append(m.channels, ch)
 	}
@@ -380,8 +347,8 @@ func (m *Memory) Config() Config { return m.cfg }
 func (m *Memory) AttachCheckers() []*Checker {
 	out := make([]*Checker, len(m.channels))
 	for i, ch := range m.channels {
-		ch.check = NewChecker(m.cfg.Timing, m.cfg.Geom.RanksPerChan, m.cfg.Geom.BanksPerRank)
-		out[i] = ch.check
+		out[i] = NewChecker(m.cfg.Timing, m.cfg.Geom.RanksPerChan, m.cfg.Geom.BanksPerRank)
+		ch.check = out[i]
 	}
 	return out
 }
@@ -431,50 +398,56 @@ func (m *Memory) Now() uint64 { return m.now }
 // ChannelStats returns the stats of channel c.
 func (m *Memory) ChannelStats(c int) *ChannelStats { return &m.channels[c].Stats }
 
+// queue returns the channel's read or write queue.
+func (ch *channel) queue(isWrite bool) *queue {
+	if isWrite {
+		return &ch.writes
+	}
+	return &ch.reads
+}
+
 // CanEnqueue reports whether channel c has room for a transaction of the
 // given type.
 func (m *Memory) CanEnqueue(c int, t mem.AccessType) bool {
-	ch := m.channels[c]
-	if t == mem.Read {
-		return ch.nRead < m.cfg.ReadQ
-	}
-	return ch.nWrite < m.cfg.WriteQ
+	q := m.channels[c].queue(t == mem.Write)
+	return q.n < q.cap
 }
 
 // QueueLen returns the current occupancy of channel c's queue for type t.
 func (m *Memory) QueueLen(c int, t mem.AccessType) int {
-	if t == mem.Read {
-		return m.channels[c].nRead
-	}
-	return m.channels[c].nWrite
+	return m.channels[c].queue(t == mem.Write).n
 }
 
 // Enqueue adds a transaction; it returns false (and does nothing) if the
 // target queue is full. The transaction's Loc.Channel selects the channel.
 func (m *Memory) Enqueue(t *Txn) bool {
 	ch := m.channels[t.Loc.Channel]
-	t.Arrival = m.now
-	if t.Op.Type == mem.Read {
-		if ch.nRead >= m.cfg.ReadQ {
-			return false
-		}
-		ch.nRead++
-	} else {
-		if ch.nWrite >= m.cfg.WriteQ {
-			return false
-		}
-		ch.nWrite++
+	isWrite := t.Op.Type == mem.Write
+	q := ch.queue(isWrite)
+	if q.n >= q.cap {
+		return false
 	}
+	q.n++
+	t.Arrival = m.now
 	ch.seq++
 	t.seq = ch.seq
-	ch.bankInsert(t)
-	// A new arrival can only add one candidate; every other transaction's
-	// memoized release time is unaffected. cmdReady's gates are absolute
-	// timers, so the bound computed here stays exact until the next issue.
-	if c, u := ch.cmdReady(t, m.now); c != cmdNone {
-		ch.nextTry = 0
-	} else if u < ch.nextTry {
-		ch.nextTry = u
+	i := ch.bankIdx(t)
+	bl := &q.banks[i]
+	bl.txns = append(bl.txns, t)
+	// The newcomer can only fill an empty class. It changes no other
+	// candidate's release, so folding in its own keeps the scan memo exact.
+	c := cand{t.seq, int32(i), int32(t.Loc.Rank)}
+	if bk := &ch.banks[i]; bk.open && bk.row == t.Loc.Row {
+		if bl.hitRep == nil {
+			q.setReps(i, t, bl.missRep)
+		}
+		gateLast, gateOther := ch.busGates(isWrite)
+		ch.nextTry = min(ch.nextTry, ch.hitRelease(c, isWrite, gateLast, gateOther))
+	} else {
+		if bl.missRep == nil {
+			q.setReps(i, bl.hitRep, t)
+		}
+		ch.nextTry = min(ch.nextTry, ch.missRelease(c))
 	}
 	return true
 }
@@ -483,7 +456,7 @@ func (m *Memory) Enqueue(t *Txn) bool {
 func (m *Memory) Pending() int {
 	n := 0
 	for _, ch := range m.channels {
-		n += ch.nRead + ch.nWrite + len(ch.pending)
+		n += ch.reads.n + ch.writes.n + len(ch.pending)
 	}
 	return n
 }
@@ -542,7 +515,7 @@ func (m *Memory) NextEvent() uint64 {
 		// Command issuability is exactly the scan memo: this is only called
 		// after a fully idle tick, so every channel with queued work just
 		// ran (or still holds) a failed scan whose bound is current.
-		if ch.nRead+ch.nWrite > 0 {
+		if ch.reads.n+ch.writes.n > 0 {
 			upd(ch.nextTry)
 		}
 	}
@@ -599,9 +572,9 @@ func (ch *channel) tick(now uint64, done []*Txn) ([]*Txn, bool) {
 	}
 
 	// Update drain mode.
-	if ch.nWrite >= ch.cfg.HighWM {
+	if ch.writes.n >= ch.cfg.HighWM {
 		ch.draining = true
-	} else if ch.nWrite <= ch.cfg.LowWM {
+	} else if ch.writes.n <= ch.cfg.LowWM {
 		ch.draining = false
 	}
 
@@ -616,11 +589,6 @@ func (ch *channel) tick(now uint64, done []*Txn) ([]*Txn, bool) {
 			rk := &ch.ranks[r]
 			if !rk.refPending && now >= rk.nextRef {
 				rk.refPending = true
-				// ACT candidates are withheld from here on; a cached
-				// representative could be one of them, so drop the reps
-				// (the release caches stay — they are only conservatively
-				// early now, which costs at most a spurious walk).
-				ch.invalReps(r)
 			}
 		}
 		if ch.issueRefresh(now) {
@@ -636,8 +604,8 @@ func (ch *channel) tick(now uint64, done []*Txn) ([]*Txn, bool) {
 		return done, active
 	}
 	until := uint64(math.MaxUint64)
-	primaryWrites := ch.draining || ch.nRead == 0
-	if ch.issueFromBanks(primaryWrites, now, &until) || ch.issueFromBanks(!primaryWrites, now, &until) {
+	primaryWrites := ch.draining || ch.reads.n == 0
+	if ch.issueFrom(primaryWrites, now, &until) || ch.issueFrom(!primaryWrites, now, &until) {
 		ch.nextTry = 0
 		return done, true
 	}
@@ -659,17 +627,7 @@ func (ch *channel) issueRefresh(now uint64) bool {
 			if bk.open {
 				allClosed = false
 				if now >= bk.nextPre {
-					if ch.check != nil {
-						ch.check.OnPrecharge(now, r, b)
-					}
-					if ch.tr != nil {
-						ch.tr.InstantArg2(ch.track, "PRE", "rank", int64(r), "bank", int64(b))
-					}
-					ch.precharge(rk, bk, now)
-					ch.markBankDirty(r, b)
-					// The drained bank's hit/PRE candidates became ACT
-					// candidates; a cached representative may be stale.
-					ch.invalReps(r)
+					ch.precharge(now, r, b)
 					return true
 				}
 			}
@@ -685,7 +643,6 @@ func (ch *channel) issueRefresh(now uint64) bool {
 			rk.refUntil = now + ch.cfg.Timing.TRFC
 			rk.nextRef += ch.cfg.Timing.TREFI
 			rk.refPending = false
-			ch.invalRank(r)
 			for b := range rk.banks {
 				if rk.banks[b].nextAct < rk.refUntil {
 					rk.banks[b].nextAct = rk.refUntil
@@ -731,768 +688,255 @@ func (ch *channel) refreshBound(now uint64) uint64 {
 	return next
 }
 
-// issueFromBanks applies FR-FCFS over one direction's bank buckets: among
-// transactions whose column command is issuable now, it prefers ones in the
-// rank that last used the data bus (rank batching amortizes the tRTRS switch
-// penalty, as commercial controllers do); otherwise the oldest ready row hit
-// wins; otherwise the oldest transaction for which an ACT or PRE can be
-// issued. Only each bank's two class representatives can ever be picked —
-// every gate is bank- or rank-level, so same-bank same-class transactions
-// are interchangeable and the oldest always wins — which makes the scan
-// O(banks) instead of O(queue). Ties across banks resolve by arrival
-// sequence, exactly as an oldest-first scan of the queue. When nothing is
-// issuable, *until is lowered to the earliest cycle any transaction could
-// become issuable with unchanged scheduler state. Returns true if a command
-// was issued.
-func (ch *channel) issueFromBanks(isWrite bool, now uint64, until *uint64) bool {
-	rbits := ch.rankBusyRead
-	relHit, relOther, relNext := ch.relHitR, ch.relOtherR, ch.relNextR
-	colRep, anyRep, anyCmdOf, repUntil := ch.colRepR, ch.anyRepR, ch.anyCmdR, ch.repUntilR
-	if isWrite {
-		rbits = ch.rankBusyWrite
-		relHit, relOther, relNext = ch.relHitW, ch.relOtherW, ch.relNextW
-		colRep, anyRep, anyCmdOf, repUntil = ch.colRepW, ch.anyRepW, ch.anyCmdW, ch.repUntilW
-	}
-	if rbits == 0 {
+// issueFrom applies FR-FCFS to one queue: a ready row hit in the rank that
+// last used the data bus goes first (rank batching amortizes the tRTRS
+// switch penalty, as commercial controllers do), then the oldest ready row
+// hit, then the oldest transaction whose PRE or ACT is ready. The candidate
+// lists are in arrival order, so one pass over each is an oldest-first scan
+// of the whole queue. When nothing is issuable, *until is lowered to the
+// earliest cycle any candidate becomes ready with the scheduler state
+// unchanged. Returns true if a command was issued.
+func (ch *channel) issueFrom(isWrite bool, now uint64, until *uint64) bool {
+	q := ch.queue(isWrite)
+	if q.n == 0 {
 		return false
 	}
-	tm := &ch.cfg.Timing
-	lead, colCmd := tm.TCAS, cmdRead
-	if isWrite {
-		lead, colCmd = tm.TCWD, cmdWrite
-	}
-	// The shared-bus gate on column commands takes just two values per scan:
-	// one for the rank that last used the bus, one for every other rank.
-	busSame, busOther := ch.busFreeAt, ch.busFreeAt
-	if ch.lastRank >= 0 {
-		busOther += tm.TRTRS
-		if ch.lastWasWr != isWrite {
-			busSame += 2
-			busOther += 2
+	// The data-bus gate has one value for the last rank and one, never
+	// earlier, for every other rank. While both are closed no hit can go, so
+	// the hits are only folded into *until, and only if no miss issues.
+	gateLast, gateOther := ch.busGates(isWrite)
+	if now >= gateLast {
+		if t := ch.pickHit(q, isWrite, now, gateLast, gateOther, until); t != nil {
+			ch.column(t, now)
+			return true
 		}
 	}
-	colGateSame, colGateOther := uint64(0), uint64(0)
-	if busSame > lead {
-		colGateSame = busSame - lead
-	}
-	if busOther > lead {
-		colGateOther = busOther - lead
-	}
-	sc := scanCtx{isWrite: isWrite, now: now, u: *until}
-	// Rank batching makes the last-used rank the likeliest source of the
-	// winning candidate, and a ready same-rank row hit (colLR) beats every
-	// other class outright — so scan that rank first and short-circuit the
-	// rest when one is found. The early exit is decision-identical to the
-	// full scan: colLR can only come from lastRank, the skipped ranks' state
-	// (timers and cached releases) is untouched and therefore not stale, and
-	// an issuing scan's *until is discarded by the caller (nextTry resets to
-	// zero), so the partial fold is never observed.
-	// Ranks whose only matured class is ACT/PRE are deferred: a ready row
-	// hit anywhere beats the any-class outright, so their walk is needed
-	// only when no col candidate turns up. Deferred walks are skipped
-	// entirely on a col issue (the caller then resets the scan memo, so the
-	// partial until-fold and the stale-matured cache entries are never
-	// observed; the entries force their own rebuild on the next scan).
-	var defer64 uint64
-	deferLR := -1
-	if lr := ch.lastRank; lr >= 0 && rbits&(1<<uint(lr)) != 0 {
-		hGate := relHit[lr]
-		if colGateSame > hGate {
-			hGate = colGateSame
+	for _, c := range q.miss {
+		rel := ch.missRelease(c)
+		if rel > now {
+			*until = min(*until, rel)
+			continue
 		}
-		ro := relOther[lr]
-		if now >= hGate {
-			// A nil representative with a matured class means an arrival
-			// filled the class after the last walk (arrivals leave the rep
-			// cache in place — a newcomer has the largest seq, so it can
-			// fill an empty slot but never displace a ready winner); walk
-			// to pick it up.
-			if now < repUntil[lr] && colRep[lr] != nil {
-				ch.issue(colRep[lr], colCmd, now)
-				return true
-			}
-			ch.scanRank(&sc, lr, colGateSame, true)
-			if sc.colLR != nil {
-				ch.issue(sc.colLR, colCmd, now)
-				return true
-			}
-		} else if now >= ro {
-			if a := anyRep[lr]; now < repUntil[lr] && a != nil {
-				if sc.any == nil || a.seq < sc.any.seq {
-					sc.any, sc.anyCmd = a, anyCmdOf[lr]
-				}
-			} else {
-				deferLR = lr
-			}
+		t := q.banks[c.bank].missRep
+		if ch.banks[c.bank].open {
+			ch.precharge(now, t.Loc.Rank, t.Loc.Bank)
 		} else {
-			if hGate < sc.u {
-				sc.u = hGate
-			}
-			if ro < sc.u {
-				sc.u = ro
-			}
+			ch.activate(t, now)
 		}
-		rbits &^= 1 << uint(lr)
-	}
-	// The cached releases say whether anything in a rank can have matured;
-	// while nothing has, fold them into the running bound and skip the
-	// rank's banks entirely. Matured ranks with a valid representative
-	// cache resolve in O(1); only stale ones walk their banks.
-	gateClear := now >= colGateOther
-	for rb := rbits; rb != 0; {
-		r := bits.TrailingZeros64(rb)
-		rb &^= 1 << uint(r)
-		if gateClear {
-			// With the bus gate clear, maturity of either class reduces to
-			// one compare against the combined bound, which is also exactly
-			// the value a non-matured rank folds into the running bound
-			// (hGate = relHit > now, so min(hGate, ro) = relNext).
-			if n := relNext[r]; now < n {
-				if n < sc.u {
-					sc.u = n
-				}
-				continue
-			}
-		} else if ro := relOther[r]; now < ro {
-			// Bus-gated: no column command can issue anywhere, so only the
-			// ACT/PRE class can mature; fold min(max(relHit, gate), ro).
-			f := relHit[r]
-			if colGateOther > f {
-				f = colGateOther
-			}
-			if ro < f {
-				f = ro
-			}
-			if f < sc.u {
-				sc.u = f
-			}
-			continue
-		}
-		hGate := relHit[r]
-		if colGateOther > hGate {
-			hGate = colGateOther
-		}
-		ro := relOther[r]
-		om := now >= ro
-		if now >= hGate {
-			// Cache usable only if every matured class has a winner on
-			// record; a nil slot means an arrival filled the class after
-			// the last walk, so walk to pick it up.
-			if now < repUntil[r] && colRep[r] != nil && (!om || anyRep[r] != nil) {
-				c := colRep[r]
-				if sc.col == nil || c.seq < sc.col.seq {
-					sc.col = c
-				}
-				if om {
-					a := anyRep[r]
-					if sc.any == nil || a.seq < sc.any.seq {
-						sc.any, sc.anyCmd = a, anyCmdOf[r]
-					}
-				}
-				continue
-			}
-			ch.scanRank(&sc, r, colGateOther, false)
-			continue
-		}
-		// om holds here: the fast skips above caught every rank with
-		// nothing matured.
-		if a := anyRep[r]; now < repUntil[r] && a != nil {
-			if sc.any == nil || a.seq < sc.any.seq {
-				sc.any, sc.anyCmd = a, anyCmdOf[r]
-			}
-			continue
-		}
-		defer64 |= 1 << uint(r)
-	}
-	if sc.col == nil {
-		// No ready row hit: the any-class decides, so walk the deferred
-		// ranks now. A deferred rank cannot supply a col candidate (its
-		// conservatively early hit bound is still in the future), so the
-		// candidate set matches the eager walk exactly.
-		if deferLR >= 0 {
-			ch.scanRank(&sc, deferLR, colGateSame, true)
-		}
-		for rb := defer64; rb != 0; {
-			r := bits.TrailingZeros64(rb)
-			rb &^= 1 << uint(r)
-			ch.scanRank(&sc, r, colGateOther, false)
-		}
-	}
-	*until = sc.u
-	if sc.colLR != nil {
-		ch.issue(sc.colLR, colCmd, now)
 		return true
 	}
-	if sc.col != nil {
-		ch.issue(sc.col, colCmd, now)
-		return true
-	}
-	if sc.any != nil {
-		ch.issue(sc.any, sc.anyCmd, now)
-		return true
+	if now < gateLast {
+		ch.pickHit(q, isWrite, now, gateLast, gateOther, until)
 	}
 	return false
 }
 
-// scanCtx carries one issueFromBanks scan's direction-resolved inputs and
-// running outputs across per-rank scanRank calls: the candidate slots
-// (colLR/col/any with anyCmd), and u, the running fold of the earliest
-// release time seen among non-issuable candidates.
-type scanCtx struct {
-	isWrite bool
-	now     uint64
-	u       uint64
-
-	colLR, col, any *Txn
-	anyCmd          cmd
-}
-
-// scanRank walks one rank's occupied banks for the FR-FCFS candidate
-// classes, folding results into sc and rebuilding the rank's cached class
-// releases. colGate is the bus-derived column-issue gate already resolved
-// for this rank (same-rank vs cross-rank); isLast routes ready row hits
-// into the colLR slot. The caller has already consulted the cached releases
-// and only calls here when a class may have matured (or the cache was
-// invalidated).
-func (ch *channel) scanRank(sc *scanCtx, r int, colGate uint64, isLast bool) {
-	now := sc.now
-	lists, busy := ch.bankRead, ch.busyRead
-	relHit, relOther, relNext := ch.relHitR, ch.relOtherR, ch.relNextR
-	colRep, anyRep, anyCmdOf, repUntil := ch.colRepR, ch.anyRepR, ch.anyCmdR, ch.repUntilR
-	if sc.isWrite {
-		lists, busy = ch.bankWrite, ch.busyWrite
-		relHit, relOther, relNext = ch.relHitW, ch.relOtherW, ch.relNextW
-		colRep, anyRep, anyCmdOf, repUntil = ch.colRepW, ch.anyRepW, ch.anyCmdW, ch.repUntilW
+// pickHit returns the row hit FR-FCFS issues now, or nil after folding the
+// release of every hit into *until. It stops early once the rest of the
+// list cannot change the outcome: no hit is released before gateLast, and
+// once every last-rank hit has been met, the oldest ready hit of another
+// rank wins and none is released before gateOther.
+func (ch *channel) pickHit(q *queue, isWrite bool, now, gateLast, gateOther uint64, until *uint64) *Txn {
+	lastLeft := 0
+	if ch.lastRank >= 0 {
+		lastLeft = q.rankHits[ch.lastRank]
 	}
-	tm := &ch.cfg.Timing
-	rk := &ch.ranks[r]
-	colNoBus := rk.refUntil
-	if !sc.isWrite && rk.wtrUntil > colNoBus {
-		colNoBus = rk.wtrUntil
-	}
-	actBase := rk.refUntil
-	if rk.nextRankAct > actBase {
-		actBase = rk.nextRankAct
-	}
-	if oldest := rk.actWindow[rk.actIdx]; oldest != 0 && oldest-1+tm.TFAW > actBase {
-		actBase = oldest - 1 + tm.TFAW
-	}
-	// Visit the rank's occupied banks, rebuilding the cached releases, the
-	// class representatives (chosen over bus-independent readiness — the
-	// bus gate is rank-uniform and applied at use time), and join, the
-	// earliest future cycle at which a not-yet-ready member could enter a
-	// ready set and displace a representative.
-	minCol, minPre, minAct := uint64(math.MaxUint64), uint64(math.MaxUint64), uint64(math.MaxUint64)
-	var cRep, aRep *Txn
-	aCmd := cmdNone
-	join := uint64(math.MaxUint64)
-	banksPer := ch.cfg.Geom.BanksPerRank
-	lo, hi := r*banksPer, (r+1)*banksPer
-	for w := lo >> 6; w <= (hi-1)>>6; w++ {
-		word := busy[w]
-		base := w << 6
-		if base < lo {
-			word &= ^uint64(0) << uint(lo-base)
+	oldest := -1
+	for _, c := range q.hits {
+		if *until <= gateLast || lastLeft == 0 && (oldest >= 0 || *until <= gateOther) {
+			break
 		}
-		if base+64 > hi {
-			word &= ^uint64(0) >> uint(base+64-hi)
+		last := int(c.rank) == ch.lastRank
+		if last {
+			lastLeft--
+		} else if oldest >= 0 {
+			continue
 		}
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			word &^= 1 << uint(bit)
-			idx := base + bit
-			bl := &lists[idx]
-			bk := &ch.banks[idx]
-			if bl.dirty {
-				bl.recompute(bk)
-			}
-			if bk.open {
-				if h := bl.hitRep; h != nil {
-					if bk.nextCol < minCol {
-						minCol = bk.nextCol
-					}
-					rel := colNoBus
-					if bk.nextCol > rel {
-						rel = bk.nextCol
-					}
-					if now >= rel {
-						if cRep == nil || h.seq < cRep.seq {
-							cRep = h
-						}
-					} else {
-						if rel < join {
-							join = rel
-						}
-						if colGate > rel {
-							rel = colGate
-						}
-						if rel < sc.u {
-							sc.u = rel
-						}
-					}
-				}
-				if p := bl.missRep; p != nil {
-					if bk.nextPre < minPre {
-						minPre = bk.nextPre
-					}
-					rel := rk.refUntil
-					if bk.nextPre > rel {
-						rel = bk.nextPre
-					}
-					if now >= rel {
-						if aRep == nil || p.seq < aRep.seq {
-							aRep, aCmd = p, cmdPre
-						}
-					} else {
-						if rel < join {
-							join = rel
-						}
-						if rel < sc.u {
-							sc.u = rel
-						}
-					}
-				}
-			} else if a := bl.missRep; a != nil {
-				if bk.nextAct < minAct {
-					minAct = bk.nextAct
-				}
-				if rk.refPending {
-					// ACT is withheld entirely while a refresh is due
-					// (MaxUint64 release: the REF issue resets the scan
-					// memo, so nothing to fold into until; the refPending
-					// flip and the REF both invalidate the rep cache, so
-					// nothing to fold into join either).
-					continue
-				}
-				rel := actBase
-				if bk.nextAct > rel {
-					rel = bk.nextAct
-				}
-				if now >= rel {
-					if aRep == nil || a.seq < aRep.seq {
-						aRep, aCmd = a, cmdAct
-					}
-				} else {
-					if rel < join {
-						join = rel
-					}
-					if rel < sc.u {
-						sc.u = rel
-					}
-				}
-			}
-		}
-	}
-	hRel := uint64(math.MaxUint64)
-	if minCol != math.MaxUint64 {
-		hRel = colNoBus
-		if minCol > colNoBus {
-			hRel = minCol
-		}
-	}
-	other := uint64(math.MaxUint64)
-	if minPre != math.MaxUint64 {
-		other = rk.refUntil
-		if minPre > other {
-			other = minPre
-		}
-	}
-	if minAct != math.MaxUint64 && !rk.refPending {
-		aRel := actBase
-		if minAct > aRel {
-			aRel = minAct
-		}
-		if aRel < other {
-			other = aRel
-		}
-	}
-	relHit[r] = hRel
-	relOther[r] = other
-	if hRel < other {
-		relNext[r] = hRel
-	} else {
-		relNext[r] = other
-	}
-	colRep[r], anyRep[r], anyCmdOf[r], repUntil[r] = cRep, aRep, aCmd, join
-	// Fold the rank representatives into the scan's global candidate slots.
-	// Per-bank gate-included readiness is (now >= colGate) && (now >= rel),
-	// so applying the rank-uniform bus gate to the rank winner here picks
-	// the same transaction the per-bank test would.
-	if cRep != nil {
-		if now >= colGate {
-			if isLast {
-				if sc.colLR == nil || cRep.seq < sc.colLR.seq {
-					sc.colLR = cRep
-				}
-			} else if sc.col == nil || cRep.seq < sc.col.seq {
-				sc.col = cRep
-			}
-		} else if colGate < sc.u {
-			sc.u = colGate
-		}
-	}
-	if aRep != nil {
-		if sc.any == nil || aRep.seq < sc.any.seq {
-			sc.any, sc.anyCmd = aRep, aCmd
-		}
-	}
-}
-
-// cmdReady returns the next command needed by t if it is issuable at now.
-// When it is not (cmdNone), the second result is the exact earliest cycle
-// the command becomes issuable assuming no scheduler state change — every
-// gate is a `now >= timer` comparison, so the release time is the maximum
-// of the failing timers (MaxUint64 when blocked on a state change such as a
-// pending refresh, which resets the caller's memo when it issues).
-func (ch *channel) cmdReady(t *Txn, now uint64) (cmd, uint64) {
-	if t.colIssued {
-		return cmdNone, math.MaxUint64
-	}
-	rk := &ch.ranks[t.Loc.Rank]
-	bk := &rk.banks[t.Loc.Bank]
-	until := now
-	if now < rk.refUntil {
-		until = rk.refUntil
-	}
-	if bk.open && bk.row == t.Loc.Row {
-		// Column command.
-		tm := &ch.cfg.Timing
-		if bk.nextCol > until {
-			until = bk.nextCol
-		}
-		var lead uint64
-		isWrite := t.Op.Type == mem.Write
-		if isWrite {
-			lead = tm.TCWD
+		if rel := ch.hitRelease(c, isWrite, gateLast, gateOther); rel > now {
+			*until = min(*until, rel)
+		} else if last {
+			return q.banks[c.bank].hitRep
 		} else {
-			lead = tm.TCAS
-			if rk.wtrUntil > until {
-				until = rk.wtrUntil
-			}
+			oldest = int(c.bank)
 		}
-		// The burst may start at now+lead; the shared bus allows it from
-		// busNeed, so the command is issuable from busNeed-lead.
-		if need := ch.busNeed(t.Loc.Rank, isWrite); need > lead && need-lead > until {
-			until = need - lead
-		}
-		if now < until {
-			return cmdNone, until
-		}
-		if isWrite {
-			return cmdWrite, now
-		}
-		return cmdRead, now
 	}
+	if oldest < 0 {
+		return nil
+	}
+	return q.banks[oldest].hitRep
+}
+
+// busGates returns the earliest cycle a column command of the given
+// direction clears the shared data bus — its burst starts tCAS or tCWD
+// later and must follow the previous burst, plus two turnaround cycles on a
+// read/write switch — for the rank that last used the bus and, with the
+// tRTRS rank-switch penalty, for every other rank.
+func (ch *channel) busGates(isWrite bool) (last, other uint64) {
+	tm := &ch.cfg.Timing
+	lead := tm.TCAS
+	if isWrite {
+		lead = tm.TCWD
+	}
+	last, other = ch.busFreeAt, ch.busFreeAt
+	if ch.lastRank >= 0 {
+		other += tm.TRTRS
+		if ch.lastWasWr != isWrite {
+			last += 2
+			other += 2
+		}
+	}
+	return max(last, lead) - lead, max(other, lead) - lead
+}
+
+// hitRelease returns the exact earliest cycle row hit c's column command
+// can issue if the scheduler state does not change first: its bank's
+// tRCD/tCCD, its rank's refresh and, for reads, tWTR, and the data-bus gate
+// busGates gave for its rank. Every gate is a `now >= timer` comparison, so
+// this is the maximum of the timers involved.
+func (ch *channel) hitRelease(c cand, isWrite bool, gateLast, gateOther uint64) uint64 {
+	gate := gateOther
+	if int(c.rank) == ch.lastRank {
+		gate = gateLast
+	}
+	rk := &ch.ranks[c.rank]
+	rel := max(gate, rk.refUntil, ch.banks[c.bank].nextCol)
+	if !isWrite {
+		rel = max(rel, rk.wtrUntil)
+	}
+	return rel
+}
+
+// missRelease returns the earliest cycle the PRE (open bank) or ACT (closed
+// bank) a row miss needs can issue. ACT is subject to tRC/tRP (nextAct),
+// tRRD and tFAW, and is withheld entirely (MaxUint64) from a rank whose
+// refresh is due, so the refresh is not starved; the REF issue resets the
+// scan memo.
+func (ch *channel) missRelease(c cand) uint64 {
+	rk := &ch.ranks[c.rank]
+	bk := &ch.banks[c.bank]
 	if bk.open {
-		// Row conflict: need PRE.
-		if bk.nextPre > until {
-			until = bk.nextPre
-		}
-		if now < until {
-			return cmdNone, until
-		}
-		return cmdPre, now
+		return max(rk.refUntil, bk.nextPre)
 	}
-	// Closed: need ACT, subject to tRC/tRP (nextAct), tRRD, tFAW, and not
-	// activating a rank that is about to refresh (avoids starving REF).
 	if rk.refPending {
-		return cmdNone, math.MaxUint64
+		return math.MaxUint64
 	}
-	if bk.nextAct > until {
-		until = bk.nextAct
+	rel := max(rk.refUntil, bk.nextAct, rk.nextRankAct)
+	if oldest := rk.actWindow[rk.actIdx]; oldest != 0 {
+		rel = max(rel, oldest-1+ch.cfg.Timing.TFAW)
 	}
-	if rk.nextRankAct > until {
-		until = rk.nextRankAct
-	}
-	if oldest := rk.actWindow[rk.actIdx]; oldest != 0 && oldest-1+ch.cfg.Timing.TFAW > until {
-		until = oldest - 1 + ch.cfg.Timing.TFAW
-	}
-	if now < until {
-		return cmdNone, until
-	}
-	return cmdAct, now
+	return rel
 }
 
-// busNeed returns the earliest burst-start cycle permitted by the shared
-// data bus, including rank-switch and turnaround penalties.
-func (ch *channel) busNeed(rnk int, isWrite bool) uint64 {
-	need := ch.busFreeAt
-	if ch.lastRank >= 0 && ch.lastRank != rnk {
-		need += ch.cfg.Timing.TRTRS
+func (ch *channel) activate(t *Txn, now uint64) {
+	if ch.check != nil {
+		ch.check.OnActivate(now, t.Loc.Rank, t.Loc.Bank, t.Loc.Row)
 	}
-	if ch.lastRank >= 0 && ch.lastWasWr != isWrite {
-		// Bus turnaround between read and write bursts.
-		need += 2
+	if ch.tr != nil {
+		ch.tr.InstantArg2(ch.track, "ACT", "bank", int64(t.Loc.Bank), "row", int64(t.Loc.Row))
 	}
-	return need
-}
-
-func (ch *channel) issue(t *Txn, c cmd, now uint64) {
-	// ACT and PRE restructure the rank's candidate classes (a bank flips
-	// between hit/miss and ACT service), so markBankDirty below drops the
-	// cached class releases. A column command does not: it only raises
-	// timers (nextCol, nextPre, wtrUntil, the bus) and removes a candidate,
-	// every one of which leaves the cached releases conservatively early —
-	// a stale entry can cause one spurious walk, which rebuilds it, but can
-	// never hide a matured candidate. Keeping the entries valid spares both
-	// directions' caches on the scheduler's most common command.
 	tm := &ch.cfg.Timing
 	rk := &ch.ranks[t.Loc.Rank]
 	bk := &rk.banks[t.Loc.Bank]
-	// Representatives have no safe stale direction, so any command on the
-	// rank drops them (a column issue removes the representative itself and
-	// raises wtrUntil for the other direction; ACT/PRE reshape the classes).
-	ch.invalReps(t.Loc.Rank)
-	switch c {
-	case cmdAct:
-		if ch.check != nil {
-			ch.check.OnActivate(now, t.Loc.Rank, t.Loc.Bank, t.Loc.Row)
-		}
-		if ch.tr != nil {
-			ch.tr.InstantArg2(ch.track, "ACT", "bank", int64(t.Loc.Bank), "row", int64(t.Loc.Row))
-		}
-		bk.open = true
-		bk.row = t.Loc.Row
-		bk.nextCol = now + tm.TRCD
-		bk.nextPre = now + tm.TRAS
-		bk.nextAct = now + tm.TRC
-		rk.nextRankAct = now + tm.TRRD
-		rk.actWindow[rk.actIdx] = now + 1
-		rk.actIdx = (rk.actIdx + 1) % len(rk.actWindow)
-		t.neededAct = true
-		ch.markBankDirty(t.Loc.Rank, t.Loc.Bank)
-		// The ACT creates candidates in both directions: row hits in the
-		// freshly opened bank from nextCol = now+tRCD, and PREs for its
-		// other-row transactions from nextPre = now+tRAS. Fold those bank
-		// timers in as conservatively early class bounds instead of
-		// invalidating — removed or postponed candidates only leave the
-		// cache early (safe), so the rank is skipped until the new
-		// candidates can actually have matured.
-		ch.foldRank(t.Loc.Rank, now+tm.TRCD, now+tm.TRAS)
-		ch.Stats.Activates.Inc()
-	case cmdPre:
-		if ch.check != nil {
-			ch.check.OnPrecharge(now, t.Loc.Rank, t.Loc.Bank)
-		}
-		if ch.tr != nil {
-			ch.tr.InstantArg2(ch.track, "PRE", "rank", int64(t.Loc.Rank), "bank", int64(t.Loc.Bank))
-		}
-		ch.precharge(rk, bk, now)
-		ch.markBankDirty(t.Loc.Rank, t.Loc.Bank)
-		// The PRE turns the bank's transactions into ACT candidates from
-		// nextAct ≥ now+tRP; hit/PRE candidates it removes only leave the
-		// cached bounds conservatively early.
-		ch.foldRank(t.Loc.Rank, math.MaxUint64, now+tm.TRP)
-	case cmdRead, cmdWrite:
-		if ch.check != nil {
-			ch.check.OnColumn(now, t.Loc.Rank, t.Loc.Bank, t.Loc.Row, c == cmdWrite)
-		}
-		if ch.tr != nil {
-			name := "RD"
-			if c == cmdWrite {
-				name = "WR"
-			}
-			ch.tr.InstantArg2(ch.track, name, "rank", int64(t.Loc.Rank), "bank", int64(t.Loc.Bank))
-		}
-		var burstStart uint64
-		if c == cmdRead {
-			burstStart = now + tm.TCAS
-			if pre := now + tm.TRTP; pre > bk.nextPre {
-				bk.nextPre = pre
-			}
-			ch.Stats.Reads.Inc()
-			ch.Stats.KindReads[t.Op.Kind].Inc()
-		} else {
-			burstStart = now + tm.TCWD
-			if pre := burstStart + tm.TBurst + tm.TWR; pre > bk.nextPre {
-				bk.nextPre = pre
-			}
-			rk.wtrUntil = burstStart + tm.TBurst + tm.TWTR
-			ch.Stats.Writes.Inc()
-			ch.Stats.KindWrites[t.Op.Kind].Inc()
-		}
-		bk.nextCol = now + tm.TCCD
-		ch.busFreeAt = burstStart + tm.TBurst
-		ch.lastRank = t.Loc.Rank
-		ch.lastWasWr = c == cmdWrite
-		t.colIssued = true
-		t.RowHit = !t.neededAct
-		if t.RowHit {
-			ch.Stats.RowHits.Inc()
-		} else {
-			ch.Stats.RowMisses.Inc()
-		}
-		t.Done = burstStart + tm.TBurst
-		ch.removeFromQueue(t)
-		if len(ch.pending) == 0 || t.Done < ch.nextDone {
-			ch.nextDone = t.Done
-		}
-		ch.pending = append(ch.pending, t)
-	}
+	bk.open = true
+	bk.row = t.Loc.Row
+	bk.nextCol = now + tm.TRCD
+	bk.nextPre = now + tm.TRAS
+	bk.nextAct = now + tm.TRC
+	rk.nextRankAct = now + tm.TRRD
+	rk.actWindow[rk.actIdx] = now + 1
+	rk.actIdx = (rk.actIdx + 1) % len(rk.actWindow)
+	t.neededAct = true
+	ch.resetReps(ch.bankIdx(t))
+	ch.Stats.Activates.Inc()
 }
 
-// markBankDirty invalidates both directions' representatives for a bank
-// whose open-row state just changed. The rank-level release caches are NOT
-// touched here: callers either fold the new candidates' conservatively
-// early bounds in (foldRank, for ACT/PRE) or invalidate outright
-// (invalRank, for REF, whose completion can re-expose candidates earlier
-// than any cached bound).
-func (ch *channel) markBankDirty(r, b int) {
-	i := r*ch.cfg.Geom.BanksPerRank + b
-	ch.bankRead[i].dirty = true
-	ch.bankWrite[i].dirty = true
-}
-
-// foldRank lowers both directions' cached class releases for a rank to the
-// given conservatively early bounds (hit, other); MaxUint64 leaves a class
-// untouched. Folding a too-early bound costs at most a spurious walk that
-// rebuilds the exact entry; an invalid entry (zero) stays invalid.
-func (ch *channel) foldRank(r int, hit, other uint64) {
-	lo := hit
-	if other < lo {
-		lo = other
+func (ch *channel) precharge(now uint64, r, b int) {
+	if ch.check != nil {
+		ch.check.OnPrecharge(now, r, b)
 	}
-	if hit < ch.relHitR[r] {
-		ch.relHitR[r] = hit
+	if ch.tr != nil {
+		ch.tr.InstantArg2(ch.track, "PRE", "rank", int64(r), "bank", int64(b))
 	}
-	if hit < ch.relHitW[r] {
-		ch.relHitW[r] = hit
-	}
-	if other < ch.relOtherR[r] {
-		ch.relOtherR[r] = other
-	}
-	if other < ch.relOtherW[r] {
-		ch.relOtherW[r] = other
-	}
-	if lo < ch.relNextR[r] {
-		ch.relNextR[r] = lo
-	}
-	if lo < ch.relNextW[r] {
-		ch.relNextW[r] = lo
-	}
-}
-
-// invalRank drops both directions' cached release times for a rank: a zero
-// relOther always reads as matured, forcing the walk that rebuilds both
-// values. The representatives go with them.
-func (ch *channel) invalRank(r int) {
-	ch.relOtherR[r] = 0
-	ch.relOtherW[r] = 0
-	ch.relNextR[r] = 0
-	ch.relNextW[r] = 0
-	ch.invalReps(r)
-}
-
-// invalReps drops both directions' cached class representatives for a rank
-// (zero repUntil always reads as expired). Unlike the release times, a
-// stale representative could issue a timing-violating or departed command,
-// so every event that mutates rank-local scheduler state must call this.
-func (ch *channel) invalReps(r int) {
-	ch.repUntilR[r] = 0
-	ch.repUntilW[r] = 0
-}
-
-func (ch *channel) precharge(rk *rank, bk *bank, now uint64) {
+	bk := &ch.ranks[r].banks[b]
 	bk.open = false
-	if na := now + ch.cfg.Timing.TRP; na > bk.nextAct {
-		bk.nextAct = na
-	}
+	bk.nextAct = max(bk.nextAct, now+ch.cfg.Timing.TRP)
+	ch.resetReps(r*ch.cfg.Geom.BanksPerRank + b)
 	ch.Stats.Precharges.Inc()
 }
 
-func (ch *channel) removeFromQueue(t *Txn) {
-	bl := &ch.bankRead[ch.bankIdx(t)]
-	if t.Op.Type == mem.Write {
-		bl = &ch.bankWrite[ch.bankIdx(t)]
+// resetReps recomputes bank i's class representatives in both directions
+// after an ACT or PRE changed its open row.
+func (ch *channel) resetReps(i int) {
+	for _, q := range [2]*queue{&ch.reads, &ch.writes} {
+		hit, miss := q.banks[i].reps(&ch.banks[i])
+		q.setReps(i, hit, miss)
 	}
-	for i, x := range bl.txns {
-		if x == t {
-			bl.txns = append(bl.txns[:i], bl.txns[i+1:]...)
+}
+
+// column issues t's read or write, which completes the transaction: it
+// leaves the queue, and the next same-row transaction in its bank, the
+// oldest one left, takes over the hit slot.
+func (ch *channel) column(t *Txn, now uint64) {
+	isWrite := t.Op.Type == mem.Write
+	if ch.check != nil {
+		ch.check.OnColumn(now, t.Loc.Rank, t.Loc.Bank, t.Loc.Row, isWrite)
+	}
+	if ch.tr != nil {
+		name := "RD"
+		if isWrite {
+			name = "WR"
+		}
+		ch.tr.InstantArg2(ch.track, name, "rank", int64(t.Loc.Rank), "bank", int64(t.Loc.Bank))
+	}
+	tm := &ch.cfg.Timing
+	rk := &ch.ranks[t.Loc.Rank]
+	bk := &rk.banks[t.Loc.Bank]
+	var burstStart uint64
+	if isWrite {
+		burstStart = now + tm.TCWD
+		bk.nextPre = max(bk.nextPre, burstStart+tm.TBurst+tm.TWR)
+		rk.wtrUntil = burstStart + tm.TBurst + tm.TWTR
+		ch.Stats.Writes.Inc()
+		ch.Stats.KindWrites[t.Op.Kind].Inc()
+	} else {
+		burstStart = now + tm.TCAS
+		bk.nextPre = max(bk.nextPre, now+tm.TRTP)
+		ch.Stats.Reads.Inc()
+		ch.Stats.KindReads[t.Op.Kind].Inc()
+	}
+	bk.nextCol = now + tm.TCCD
+	ch.busFreeAt = burstStart + tm.TBurst
+	ch.lastRank = t.Loc.Rank
+	ch.lastWasWr = isWrite
+	t.RowHit = !t.neededAct
+	if t.RowHit {
+		ch.Stats.RowHits.Inc()
+	} else {
+		ch.Stats.RowMisses.Inc()
+	}
+	t.Done = burstStart + tm.TBurst
+
+	q := ch.queue(isWrite)
+	q.n--
+	b := ch.bankIdx(t)
+	bl := &q.banks[b]
+	i := slices.Index(bl.txns, t)
+	bl.txns = slices.Delete(bl.txns, i, i+1)
+	var next *Txn
+	for _, x := range bl.txns[i:] {
+		if x.Loc.Row == t.Loc.Row {
+			next = x
 			break
 		}
 	}
-	bl.dirty = true
-	if len(bl.txns) == 0 {
-		i := ch.bankIdx(t)
-		busy := ch.busyRead
-		if t.Op.Type == mem.Write {
-			busy = ch.busyWrite
-		}
-		busy[i>>6] &^= 1 << (uint(i) & 63)
+	q.setReps(b, next, bl.missRep)
+
+	if len(ch.pending) == 0 || t.Done < ch.nextDone {
+		ch.nextDone = t.Done
 	}
-	if t.Op.Type == mem.Write {
-		ch.nWrite--
-		ch.rankNWrite[t.Loc.Rank]--
-		if ch.rankNWrite[t.Loc.Rank] == 0 {
-			ch.rankBusyWrite &^= 1 << uint(t.Loc.Rank)
-		}
-	} else {
-		ch.nRead--
-		ch.rankNRead[t.Loc.Rank]--
-		if ch.rankNRead[t.Loc.Rank] == 0 {
-			ch.rankBusyRead &^= 1 << uint(t.Loc.Rank)
-		}
-	}
+	ch.pending = append(ch.pending, t)
 }
 
 func (ch *channel) bankIdx(t *Txn) int {
 	return t.Loc.Rank*ch.cfg.Geom.BanksPerRank + t.Loc.Bank
-}
-
-// bankInsert appends an arriving transaction to its bank bucket, updating
-// the class representatives in place when they are clean: the newcomer is
-// the youngest member, so it only fills a class that had no representative.
-func (ch *channel) bankInsert(t *Txn) {
-	i := ch.bankIdx(t)
-	bl, busy := &ch.bankRead[i], ch.busyRead
-	if t.Op.Type == mem.Write {
-		bl, busy = &ch.bankWrite[i], ch.busyWrite
-		ch.rankNWrite[t.Loc.Rank]++
-		ch.rankBusyWrite |= 1 << uint(t.Loc.Rank)
-	} else {
-		ch.rankNRead[t.Loc.Rank]++
-		ch.rankBusyRead |= 1 << uint(t.Loc.Rank)
-	}
-	bl.txns = append(bl.txns, t)
-	busy[i>>6] |= 1 << (uint(i) & 63)
-	// Fold the newcomer's class release into the rank's cached releases
-	// instead of invalidating them: the arrival adds exactly one candidate,
-	// and lowering the matching class bound to the bank timer alone (a
-	// conservatively early stand-in for the full rank-level gate) keeps the
-	// cache sound — at worst one spurious walk rebuilds the exact entry.
-	relHit, relOther, relNext := ch.relHitR, ch.relOtherR, ch.relNextR
-	if t.Op.Type == mem.Write {
-		relHit, relOther, relNext = ch.relHitW, ch.relOtherW, ch.relNextW
-	}
-	bk := &ch.ranks[t.Loc.Rank].banks[t.Loc.Bank]
-	fold := uint64(0)
-	if bk.open && t.Loc.Row == bk.row {
-		fold = bk.nextCol
-		if bk.nextCol < relHit[t.Loc.Rank] {
-			relHit[t.Loc.Rank] = bk.nextCol
-		}
-	} else if bk.open {
-		fold = bk.nextPre
-		if bk.nextPre < relOther[t.Loc.Rank] {
-			relOther[t.Loc.Rank] = bk.nextPre
-		}
-	} else {
-		fold = bk.nextAct
-		if bk.nextAct < relOther[t.Loc.Rank] {
-			relOther[t.Loc.Rank] = bk.nextAct
-		}
-	}
-	if fold < relNext[t.Loc.Rank] {
-		relNext[t.Loc.Rank] = fold
-	}
-	if bl.dirty {
-		return
-	}
-	if bk.open && t.Loc.Row == bk.row {
-		if bl.hitRep == nil {
-			bl.hitRep = t
-		}
-	} else if bl.missRep == nil {
-		bl.missRep = t
-	}
 }

@@ -326,3 +326,25 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 		t.Fatalf("younger row hit done at %d, older conflict at %d: hit must go first", txns[2].Done, txns[1].Done)
 	}
 }
+
+// TestRefusedEnqueueDoesNothing pins Enqueue's contract: a transaction
+// refused because its queue is full comes back exactly as it was passed in.
+func TestRefusedEnqueueDoesNothing(t *testing.T) {
+	cfg := tinyConfig()
+	m := New(cfg)
+	for i := 0; i < 5; i++ {
+		m.Tick(nil)
+	}
+	for i := 0; i < cfg.ReadQ; i++ {
+		m.Enqueue(read(addrmap.Location{Row: i}))
+	}
+	tx := read(addrmap.Location{Row: 1})
+	tx.Arrival = 12345
+	before := *tx
+	if m.Enqueue(tx) {
+		t.Fatal("enqueue into a full queue accepted")
+	}
+	if *tx != before {
+		t.Fatalf("refused Enqueue changed the transaction to %+v, was %+v", *tx, before)
+	}
+}

@@ -21,30 +21,35 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# ab_compare builds <rev> in a temporary git worktree, compiles the root
-# and internal/sim test binaries of both trees, and runs min-of-N trials of
-# BenchmarkFig8ExecutionTime and BenchmarkSim{NonSecure,Synergy,ITESP,LowMPKI}
+# ab_compare extracts <rev> into a temporary directory (git archive),
+# compiles the root, internal/sim and internal/dram test binaries of both
+# trees, and runs min-of-N trials of BenchmarkFig8ExecutionTime,
+# BenchmarkSim{NonSecure,Synergy,ITESP,LowMPKI} and the DRAM scheduler's
+# Benchmark{MemoryTick,RandomMix,StreamingReads}
 # ABBA-interleaved (odd trials run before first, even trials after first),
 # which filters host-speed drift better than back-to-back repeats. Each
 # binary runs from its own tree's package directory. It prints one JSON
 # object {"recorded", "before", "after"} whose before/after map each
 # benchmark to the fields of its fastest trial; a frozen before/after
 # section of BENCH_hotloop.json is this object pasted into the heredoc
-# below. Eight trials at 2 (Fig 8) and 8 (internal/sim) iterations take
-# about two and a half minutes on a 2-CPU host.
+# below. Eight trials at 2 (Fig 8), 8 (internal/sim) and 500000
+# (internal/dram) iterations take about four minutes on a 2-CPU host.
 ab_compare() {
 	rev="$1"
 	trials=8
 	fig8bt=2x
 	simbt=8x
+	drambt=500000x
 	tmp="$(mktemp -d)"
-	trap 'git worktree remove --force "$tmp/before" >/dev/null 2>&1 || true; rm -rf "$tmp"; git worktree prune' EXIT
-	git worktree add --quiet --detach "$tmp/before" "$rev"
+	trap 'rm -rf "$tmp"' EXIT
+	mkdir "$tmp/before"
+	git archive "$rev" | tar -x -C "$tmp/before"
 	for side in before after; do
 		tree=.
 		[ "$side" = before ] && tree="$tmp/before"
 		(cd "$tree" && go test -c -o "$tmp/$side.root.test" . &&
-			go test -c -o "$tmp/$side.sim.test" ./internal/sim)
+			go test -c -o "$tmp/$side.sim.test" ./internal/sim &&
+			go test -c -o "$tmp/$side.dram.test" ./internal/dram)
 	done
 	here="$(pwd)"
 	runside() {
@@ -56,6 +61,9 @@ ab_compare() {
 		(cd "$tree/internal/sim" && "$tmp/$1.sim.test" -test.run '^$' \
 			-test.bench '^BenchmarkSim(NonSecure|Synergy|ITESP|LowMPKI)$' \
 			-test.benchtime "$simbt" -test.benchmem -test.timeout 30m) >>"$tmp/out"
+		(cd "$tree/internal/dram" && "$tmp/$1.dram.test" -test.run '^$' \
+			-test.bench '^Benchmark(MemoryTick|RandomMix|StreamingReads)$' \
+			-test.benchtime "$drambt" -test.benchmem -test.timeout 30m) >>"$tmp/out"
 		sed -n -e "s/^Benchmark/$1 Benchmark/p" -e '/^cpu: /p' "$tmp/out" >>"$tmp/raw"
 	}
 	for t in $(seq 1 "$trials"); do
@@ -68,7 +76,7 @@ ab_compare() {
 		fi
 	done
 	awk -v rev="$rev" -v head="$(git describe --always --dirty)" -v trials="$trials" \
-		-v fig8bt="$fig8bt" -v simbt="$simbt" -v ncpu="$(getconf _NPROCESSORS_ONLN)" \
+		-v fig8bt="$fig8bt" -v simbt="$simbt" -v drambt="$drambt" -v ncpu="$(getconf _NPROCESSORS_ONLN)" \
 		-v gover="$(go env GOVERSION)" '
 		/^cpu: / {
 			cpu = substr($0, 6)
@@ -96,7 +104,7 @@ ab_compare() {
 		}
 		END {
 			printf "{\n  \"recorded\": \"before: %s; after: the working tree (%s); ", rev, head
-			printf "min of %s ABBA-interleaved trials at -benchtime %s (Fig 8) and %s (internal/sim); ", trials, fig8bt, simbt
+			printf "min of %s ABBA-interleaved trials at -benchtime %s (Fig 8), %s (internal/sim) and %s (internal/dram); ", trials, fig8bt, simbt, drambt
 			printf "%s-CPU %s host, %s\",\n", ncpu, cpu, gover
 			split("before after", sides, " ")
 			for (s = 1; s <= 2; s++) {
@@ -264,6 +272,31 @@ done
       "BenchmarkSimITESP": {"ns_per_op": 37704820, "B_per_op": 364161, "allocs_per_op": 1192},
       "BenchmarkSimLowMPKI/ep": {"ns_per_op": 23345394, "B_per_op": 216079, "allocs_per_op": 949},
       "BenchmarkSimLowMPKI/perlbench": {"ns_per_op": 24000048, "B_per_op": 225949, "allocs_per_op": 978}
+    }
+  },
+  "dram_candidate_lists": {
+    "recorded": "internal/dram before (commit c92bb92) and after the per-rank memo stack gave way to oldest-first candidate lists (BenchmarkStreamingReads and BenchmarkRandomMix now share their traffic drivers with the allocation tests; StreamingReads no longer stops issuing at b.N+64, a tail of 64 of 500000 completions); scripts/bench.sh ab: min of 8 ABBA-interleaved trials at -benchtime 2x (Fig 8), 8x (internal/sim) and 500000x (internal/dram); 2-CPU Intel(R) Xeon(R) Processor host, go1.24.0",
+    "before": {
+      "BenchmarkFig8ExecutionTime": {"ns_per_op": 1702822518, "itesp_vs_synergy_pct": 81.16, "B_per_op": 21843580, "allocs_per_op": 51475},
+      "BenchmarkSimNonSecure": {"ns_per_op": 18285407, "B_per_op": 307716, "allocs_per_op": 872},
+      "BenchmarkSimSynergy": {"ns_per_op": 74672245, "B_per_op": 364434, "allocs_per_op": 1235},
+      "BenchmarkSimITESP": {"ns_per_op": 36916420, "B_per_op": 364133, "allocs_per_op": 1192},
+      "BenchmarkSimLowMPKI/ep": {"ns_per_op": 26694270, "B_per_op": 216079, "allocs_per_op": 949},
+      "BenchmarkSimLowMPKI/perlbench": {"ns_per_op": 28342413, "B_per_op": 225977, "allocs_per_op": 979},
+      "BenchmarkStreamingReads": {"ns_per_op": 450.5, "B_per_op": 0, "allocs_per_op": 0},
+      "BenchmarkRandomMix": {"ns_per_op": 2737, "B_per_op": 0, "allocs_per_op": 0},
+      "BenchmarkMemoryTick": {"ns_per_op": 241.9, "B_per_op": 0, "allocs_per_op": 0}
+    },
+    "after": {
+      "BenchmarkFig8ExecutionTime": {"ns_per_op": 1105914836, "itesp_vs_synergy_pct": 81.16, "B_per_op": 21797436, "allocs_per_op": 51363},
+      "BenchmarkSimNonSecure": {"ns_per_op": 12804421, "B_per_op": 306436, "allocs_per_op": 869},
+      "BenchmarkSimSynergy": {"ns_per_op": 49672839, "B_per_op": 362498, "allocs_per_op": 1231},
+      "BenchmarkSimITESP": {"ns_per_op": 23552679, "B_per_op": 362881, "allocs_per_op": 1189},
+      "BenchmarkSimLowMPKI/ep": {"ns_per_op": 19812875, "B_per_op": 214825, "allocs_per_op": 946},
+      "BenchmarkSimLowMPKI/perlbench": {"ns_per_op": 17733152, "B_per_op": 224669, "allocs_per_op": 975},
+      "BenchmarkStreamingReads": {"ns_per_op": 400.2, "B_per_op": 0, "allocs_per_op": 0},
+      "BenchmarkRandomMix": {"ns_per_op": 1534, "B_per_op": 0, "allocs_per_op": 0},
+      "BenchmarkMemoryTick": {"ns_per_op": 117.8, "B_per_op": 0, "allocs_per_op": 0}
     }
   },
   "current": {
