@@ -23,7 +23,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/obs/sweep"
-	"repro/internal/runner"
 )
 
 func main() {
@@ -51,11 +50,9 @@ func main() {
 	progress := flag.Bool("progress", false, "print a live sweep progress line to stderr: completed/total, cache-hit ratio, jobs/sec, ETA")
 	statusAddr := flag.String("status-addr", "", "serve the live sweep status API on this address: /progress (JSON snapshot), /metrics (Prometheus), /events (lifecycle stream), /debug/pprof")
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory; identical runs are served from <dir>/<hash>.json instead of re-simulated")
-	noCache := flag.Bool("no-cache", false, "disable the result cache even if -cache-dir or -resume is set")
 	resume := flag.Bool("resume", false, "resume an interrupted sweep: enable the cache (default .runcache) so only missing runs re-simulate")
 	keepGoing := flag.Bool("keep-going", false, "run every job of a batch even after failures instead of canceling the queued remainder")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-simulation wall-clock deadline (e.g. 5m); a wedged job is abandoned and counted timed out (0 = none)")
-	retries := flag.Int("retries", 0, "deterministic re-runs for panicked or timed-out jobs (spec errors are never retried)")
 	flag.Parse()
 
 	// A first SIGINT/SIGTERM cancels the sweep cooperatively: queued jobs
@@ -72,25 +69,16 @@ func main() {
 	if *resume && *cacheDir == "" {
 		*cacheDir = ".runcache"
 	}
-	if *noCache {
-		*cacheDir = ""
-	}
 
 	jsonOut := map[string]any{}
 
-	var runnerStats runner.Stats
-
-	// Sweep telemetry is attached only when something consumes it: the
-	// on-disk sweep journal beside a cache (-cache-dir/-resume),
-	// -status-addr or -progress. The default path runs with a nil collector;
-	// results are bit-identical either way.
-	var col *sweep.Collector
-	if *cacheDir != "" || *statusAddr != "" || *progress {
-		col = sweep.New()
-	}
+	// The sweep collector is the one count of every batch's jobs: it feeds
+	// the end-of-run line, -progress, -status-addr and, beside a cache
+	// (-cache-dir/-resume), the on-disk sweep journal. It costs a few mutex
+	// operations per job, never per simulated cycle.
+	col := sweep.New()
 	if *statusAddr != "" {
 		reg := obs.NewRegistry()
-		runnerStats.Register(reg)
 		col.Register(reg)
 		srv, err := sweep.Start(*statusAddr, sweep.ServerConfig{
 			Collector: col,
@@ -105,21 +93,19 @@ func main() {
 	}
 
 	o := experiments.Options{
-		OpsPerCore:  *ops,
-		Seed:        *seed,
-		Parallel:    *parallel,
-		FarmAddr:    *farmAddr,
-		FarmCA:      *farmCA,
-		FarmCert:    *farmCert,
-		FarmKey:     *farmKey,
-		FarmToken:   *farmToken,
-		CacheDir:    *cacheDir,
-		KeepGoing:   *keepGoing,
-		Ctx:         ctx,
-		JobTimeout:  *jobTimeout,
-		Retries:     *retries,
-		RunnerStats: &runnerStats,
-		Telemetry:   col,
+		OpsPerCore: *ops,
+		Seed:       *seed,
+		Parallel:   *parallel,
+		FarmAddr:   *farmAddr,
+		FarmCA:     *farmCA,
+		FarmCert:   *farmCert,
+		FarmKey:    *farmKey,
+		FarmToken:  *farmToken,
+		CacheDir:   *cacheDir,
+		KeepGoing:  *keepGoing,
+		Ctx:        ctx,
+		JobTimeout: *jobTimeout,
+		Telemetry:  col,
 		Obs: experiments.ObsOptions{
 			MetricsDir:    *metricsDir,
 			TimeseriesDir: *timeseriesDir,
@@ -261,8 +247,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if runnerStats.Jobs > 0 {
-		fmt.Fprintf(os.Stderr, "[runner: %s]\n", runnerStats)
+	if p := col.Snapshot(); p.Jobs > 0 {
+		fmt.Fprintf(os.Stderr, "[sweep: %s]\n", summaryLine(p))
 	}
 	if ctx.Err() != nil {
 		if err != nil {
@@ -290,4 +276,21 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// summaryLine renders the end-of-run counts of every batch the run swept,
+// naming the failure classes only when they occurred.
+func summaryLine(p sweep.Progress) string {
+	s := fmt.Sprintf("%d jobs: %d simulated, %d cache hits, %d failed, %d canceled",
+		p.Jobs, p.Simulated, p.Cached, p.Failed, p.Canceled)
+	if p.Panics > 0 {
+		s += fmt.Sprintf(", %d panics", p.Panics)
+	}
+	if p.Timeouts > 0 {
+		s += fmt.Sprintf(", %d timed out", p.Timeouts)
+	}
+	if p.CacheCorrupt > 0 {
+		s += fmt.Sprintf(", %d corrupt cache entries quarantined", p.CacheCorrupt)
+	}
+	return s
 }

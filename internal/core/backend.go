@@ -23,15 +23,6 @@ type Backend interface {
 	Build(cores int) (Scheme, error)
 }
 
-// TrafficProvider is an optional Backend extension. A backend whose
-// metadata traffic differs structurally from the standard MAC-region /
-// tree-walk / parity pipeline returns its own TrafficModel; backends
-// without it (or returning nil) inherit the tree-walk model, so the paper's
-// families pay nothing for the seam.
-type TrafficProvider interface {
-	Traffic(s Scheme) TrafficModel
-}
-
 // registry holds every registered backend. Registration happens in package
 // init functions; the lock exists so tests can register probe backends.
 var registry = struct {
@@ -127,27 +118,18 @@ func SchemeByName(name string, cores int) (Scheme, error) {
 func SchemeNames() []string { return Names() }
 
 // backendFunc is the function-backed Backend used by the built-in
-// families. A nil traffic func means the standard tree-walk model.
+// families. Its traffic model follows from the Scheme it builds (see
+// trafficFor).
 type backendFunc struct {
-	name    string
-	desc    string
-	build   func(cores int) (Scheme, error)
-	traffic func(s Scheme) TrafficModel
+	name  string
+	desc  string
+	build func(cores int) (Scheme, error)
 }
 
 func (b backendFunc) Name() string        { return b.name }
 func (b backendFunc) Description() string { return b.desc }
 func (b backendFunc) Build(cores int) (Scheme, error) {
 	return b.build(cores)
-}
-
-// Traffic implements TrafficProvider; a nil inner func defers to the
-// standard model (trafficFor treats a nil return as "use tree-walk").
-func (b backendFunc) Traffic(s Scheme) TrafficModel {
-	if b.traffic == nil {
-		return nil
-	}
-	return b.traffic(s)
 }
 
 // sortedTags is a test helper surface: the tags of one backend, sorted.

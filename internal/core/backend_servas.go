@@ -19,6 +19,5 @@ func init() {
 				MACCacheKB: scaled(64, cores),
 			}, nil
 		},
-		traffic: func(s Scheme) TrafficModel { return servasTraffic{} },
 	})
 }

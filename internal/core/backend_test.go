@@ -185,9 +185,27 @@ func TestTmeboxDomainCountScalesPressure(t *testing.T) {
 	}
 }
 
-// TestTrafficModelFallback: an overridden scheme whose name is not in the
-// registry must still resolve to the right model from its fields.
+// TestTrafficModelFallback: every registered scheme resolves to its
+// family's model, and an overridden scheme whose name is not in the
+// registry still resolves to the right model from its fields.
 func TestTrafficModelFallback(t *testing.T) {
+	want := map[string]TrafficModel{
+		"servas": servasTraffic{}, "tmebox": tmeboxTraffic{}, "tmebox256": tmeboxTraffic{},
+	}
+	for _, name := range SchemeNames() {
+		s := mustScheme(t, name, 4)
+		if !s.Secure {
+			continue // the non-secure baseline never consults a model
+		}
+		w, ok := want[name]
+		if !ok {
+			w = treeTraffic{}
+		}
+		if got := trafficFor(s); got != w {
+			t.Errorf("%s resolved to %T, want %T", name, got, w)
+		}
+	}
+
 	servas := mustScheme(t, "servas", 4)
 	servas.Name = "servas-ablated"
 	if _, ok := trafficFor(servas).(servasTraffic); !ok {

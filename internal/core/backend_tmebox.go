@@ -22,7 +22,6 @@ func init() {
 				MetaCacheKB: scaled(64, cores),
 			}, nil
 		},
-		traffic: func(s Scheme) TrafficModel { return tmeboxTraffic{} },
 	})
 	Register(backendFunc{
 		name: "tmebox256",
@@ -34,6 +33,5 @@ func init() {
 				MetaCacheKB: scaled(64, cores),
 			}, nil
 		},
-		traffic: func(s Scheme) TrafficModel { return tmeboxTraffic{} },
 	})
 }

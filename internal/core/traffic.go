@@ -23,19 +23,12 @@ type TrafficModel interface {
 	OnAccess(e *Engine, core int, pa mem.PhysAddr, pte enclave.PTE, isWrite bool, id mem.EnclaveID, gid uint32) (macMissed bool, treeDepth int)
 }
 
-// trafficFor resolves the traffic model of a scheme. Registered backends
-// take precedence via the optional TrafficProvider hook; schemes carrying
-// a name outside the registry (runspec SchemeOverride ablations) fall back
-// on the structural fields, so overridden variants of the new families
-// still route to the right model.
+// trafficFor resolves the traffic model of a scheme from its structural
+// fields alone, so registered schemes and overridden variants outside the
+// registry (runspec SchemeOverride ablations) route the same way: key
+// domains select the multi-key model, a treeless scheme the MAC-only
+// model, and everything else the standard tree-walk pipeline.
 func trafficFor(s Scheme) TrafficModel {
-	if b, ok := Lookup(s.Name); ok {
-		if tp, ok := b.(TrafficProvider); ok {
-			if m := tp.Traffic(s); m != nil {
-				return m
-			}
-		}
-	}
 	switch {
 	case s.KeyDomains > 0:
 		return tmeboxTraffic{}

@@ -51,14 +51,12 @@ type Options struct {
 	// canceling the queued remainder on the first one.
 	KeepGoing bool
 	// Ctx, when non-nil, cancels sweeps cooperatively: once it fires,
-	// queued jobs are skipped (counted canceled in RunnerStats) while
+	// queued jobs are skipped (journaled canceled in Telemetry) while
 	// in-flight simulations drain to completion and land in the cache.
 	Ctx context.Context
-	// JobTimeout bounds each simulation attempt's wall-clock runtime
-	// (driven through sim.RunContext); zero disables it. Retries re-runs
-	// panicked or timed-out jobs deterministically up to N extra attempts.
+	// JobTimeout bounds each simulation's wall-clock runtime (driven
+	// through sim.RunContext); zero disables it.
 	JobTimeout time.Duration
-	Retries    int
 	// FarmAddr, when non-empty, dispatches every batch to the simfarmd
 	// coordinator at that address instead of simulating in-process: jobs
 	// are submitted by content hash, executed by whatever workers the farm
@@ -74,14 +72,10 @@ type Options struct {
 	FarmCert  string
 	FarmKey   string
 	FarmToken string
-	// RunnerStats, when non-nil, accumulates the runner's simulated /
-	// cache-hit / failure counters across every batch of the experiment.
-	// The runner updates it live (atomically) as jobs finish, so gauges
-	// registered via its Register method report mid-sweep values.
-	RunnerStats *runner.Stats
 	// Telemetry, when non-nil, receives job-lifecycle events from every
-	// batch of the experiment (see internal/obs/sweep); with a CacheDir
-	// set, each batch also journals its events to a telemetry.jsonl in it.
+	// batch of the experiment (see internal/obs/sweep) and is the count of
+	// what the experiment's sweeps did; with a CacheDir set, each batch
+	// also journals its events to a telemetry.jsonl in it.
 	Telemetry *sweep.Collector
 	// Obs configures per-simulation observability artifacts and sweep
 	// progress reporting.
@@ -243,8 +237,6 @@ func runBatch(o Options, jobs []runspec.Named) (map[string]*sim.Summary, error) 
 		Parallel:   o.Parallel,
 		KeepGoing:  o.KeepGoing,
 		JobTimeout: o.JobTimeout,
-		Retries:    o.Retries,
-		Stats:      o.RunnerStats,
 		Telemetry:  o.Telemetry,
 	}
 	if o.CacheDir != "" {
@@ -265,10 +257,7 @@ func runBatch(o Options, jobs []runspec.Named) (map[string]*sim.Summary, error) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// RunnerStats is threaded through runner.Options.Stats, so the runner
-	// itself keeps it live-updated as jobs finish; no end-of-batch fold-in.
-	results, _, err := runner.Run(ctx, ropts, jobs)
-	return results, err
+	return runner.Run(ctx, ropts, jobs)
 }
 
 // runBatchFarm dispatches one batch to a sweep farm instead of the

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/runner"
+	"repro/internal/obs/sweep"
 	"repro/internal/runspec"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -256,26 +256,25 @@ func TestWarmCacheByteIdenticalOutput(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	dir := t.TempDir()
-	run := func() (string, runner.Stats) {
+	run := func() (string, sweep.Progress) {
 		var buf bytes.Buffer
-		var st runner.Stats
 		o := tiny(t)
 		o.Benchmarks = []string{"pr"}
 		o.W = &buf
 		o.CacheDir = dir
-		o.RunnerStats = &st
+		o.Telemetry = sweep.New()
 		if _, err := Fig2(o); err != nil {
 			t.Fatal(err)
 		}
-		return buf.String(), st
+		return buf.String(), o.Telemetry.Snapshot()
 	}
 	cold, coldStats := run()
-	if coldStats.Simulated == 0 || coldStats.CacheHits != 0 {
-		t.Fatalf("cold sweep: %s", coldStats)
+	if coldStats.Simulated == 0 || coldStats.Cached != 0 {
+		t.Fatalf("cold sweep: %+v", coldStats)
 	}
 	warm, warmStats := run()
-	if warmStats.Simulated != 0 || warmStats.CacheHits != coldStats.Simulated {
-		t.Fatalf("warm sweep should be 100%% cache hits: %s", warmStats)
+	if warmStats.Simulated != 0 || warmStats.Cached != coldStats.Simulated {
+		t.Fatalf("warm sweep should be 100%% cache hits: %+v", warmStats)
 	}
 	if cold != warm {
 		t.Errorf("warm-cache output differs:\ncold:\n%s\nwarm:\n%s", cold, warm)
@@ -304,8 +303,7 @@ func TestInterruptedSweepResumes(t *testing.T) {
 	partial.Benchmarks = []string{"pr"}
 	partial.W = io.Discard
 	partial.CacheDir = dir
-	var partialStats runner.Stats
-	partial.RunnerStats = &partialStats
+	partial.Telemetry = sweep.New()
 	// Seed the cache with a strict subset: the exact spec Fig2 uses for
 	// its 1-core "small" model of pr.
 	small := runspec.Spec{
@@ -315,23 +313,23 @@ func TestInterruptedSweepResumes(t *testing.T) {
 	if _, err := runBatch(partial, []runspec.Named{{Key: "seed", Spec: small}}); err != nil {
 		t.Fatal(err)
 	}
-	done := partialStats.Simulated
+	done := partial.Telemetry.Snapshot().Simulated
 
 	resumed := tiny(t)
 	resumed.Benchmarks = []string{"pr"}
 	var resumedBuf bytes.Buffer
 	resumed.W = &resumedBuf
 	resumed.CacheDir = dir
-	var resumedStats runner.Stats
-	resumed.RunnerStats = &resumedStats
+	resumed.Telemetry = sweep.New()
 	if _, err := Fig2(resumed); err != nil {
 		t.Fatal(err)
 	}
-	if resumedStats.CacheHits != done {
-		t.Fatalf("resume should reuse the %d completed runs: %s", done, resumedStats)
+	resumedStats := resumed.Telemetry.Snapshot()
+	if resumedStats.Cached != done {
+		t.Fatalf("resume should reuse the %d completed runs: %+v", done, resumedStats)
 	}
 	if resumedStats.Simulated != resumedStats.Jobs-done {
-		t.Fatalf("resume should simulate only missing hashes: %s", resumedStats)
+		t.Fatalf("resume should simulate only missing hashes: %+v", resumedStats)
 	}
 	if refBuf.String() != resumedBuf.String() {
 		t.Errorf("resumed output differs from uninterrupted sweep:\nref:\n%s\nresumed:\n%s",

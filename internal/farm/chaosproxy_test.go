@@ -128,7 +128,7 @@ func TestChaosProxyNoJobLostOrDoubled(t *testing.T) {
 	for i, j := range jobs {
 		runnerJobs[i] = runner.Job{Key: j.Key, Spec: j.Spec}
 	}
-	direct, _, err := runner.Run(ctx, runner.Options{Parallel: 2}, runnerJobs)
+	direct, err := runner.Run(ctx, runner.Options{Parallel: 2}, runnerJobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,10 @@ type Config struct {
 	LeaseTTL time.Duration
 	// Retries is how many extra attempts a job gets after a retryable loss
 	// — a lapsed lease, a worker-reported panic, or a worker-side timeout —
-	// before it is marked failed (default 1). This is the farm's reuse of
-	// the runner's retry accounting: attempts are counted at lease time, so
-	// a job bounced between dying workers converges instead of cycling
-	// forever.
+	// before it is marked failed (default 1). This is the system's one
+	// retry path (the in-process runner simulates each job once): attempts
+	// are counted at lease time, so a job bounced between dying workers
+	// converges instead of cycling forever.
 	Retries int
 	// Collector, when non-nil, receives forwarded lifecycle spans for every
 	// job (queued/started/attempt/expired/retry/done), aggregated across

@@ -52,7 +52,7 @@ func TestE2EFarmMatchesInProcess(t *testing.T) {
 	for i, j := range jobs {
 		runnerJobs[i] = runner.Job{Key: j.Key, Spec: j.Spec}
 	}
-	direct, _, err := runner.Run(ctx, runner.Options{Parallel: 2}, runnerJobs)
+	direct, err := runner.Run(ctx, runner.Options{Parallel: 2}, runnerJobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestWorkerCacheHoldsNoSweepJournals(t *testing.T) {
 // simulate executes a leased spec exactly as a worker does.
 func simulate(t *testing.T, l *api.Lease) *sim.Summary {
 	t.Helper()
-	res, _, err := runner.Run(context.Background(), runner.Options{Parallel: 1}, []runner.Job{{Key: l.Key, Spec: l.Spec}})
+	res, err := runner.Run(context.Background(), runner.Options{Parallel: 1}, []runner.Job{{Key: l.Key, Spec: l.Spec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestCoordinatorRestartMidSweep(t *testing.T) {
 	for i, j := range jobs {
 		runnerJobs[i] = runner.Job{Key: j.Key, Spec: j.Spec}
 	}
-	direct, _, err := runner.Run(ctx, runner.Options{Parallel: 2}, runnerJobs)
+	direct, err := runner.Run(ctx, runner.Options{Parallel: 2}, runnerJobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func (o WorkerOptions) runLease(ctx context.Context, cache *runner.Cache, lease 
 			return nil
 		},
 	}
-	results, _, err := runner.Run(ctx, ropts, []runner.Job{{Key: lease.Key, Spec: lease.Spec}})
+	results, err := runner.Run(ctx, ropts, []runner.Job{{Key: lease.Key, Spec: lease.Spec}})
 
 	req := api.CompleteRequest{Lease: lease.ID}
 	switch {

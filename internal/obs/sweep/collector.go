@@ -28,7 +28,8 @@ const (
 	// EventAttempt marks the start of simulation attempt N (1-based).
 	EventAttempt = "attempt"
 	// EventPanic / EventTimeout record a failed attempt (each attempt
-	// counts); EventRetry records the decision to re-run after one.
+	// counts); EventRetry records the farm coordinator's decision to re-run
+	// after one (the in-process runner never retries).
 	EventPanic   = "panic"
 	EventTimeout = "timeout"
 	EventRetry   = "retry"
@@ -87,7 +88,7 @@ type InFlightJob struct {
 // is taken under the same lock, so completed+in_flight+pending always adds
 // up. Failed counts terminal failures of any class (failed, panic,
 // timeout); Panics/Timeouts/Retries count per-attempt events and can exceed
-// the number of failed jobs when retries succeed.
+// the number of failed jobs when a farm retry succeeds.
 type Progress struct {
 	Jobs      int `json:"jobs"`
 	Completed int `json:"completed"`
@@ -170,12 +171,12 @@ func New() *Collector {
 	}
 }
 
-// emit assigns seq/timestamp, updates bookkeeping already done by the
-// caller, journals, and fans out. Callers hold c.mu.
-func (c *Collector) emit(ev Event) {
-	c.seq++
-	ev.Seq = c.seq
-	ev.TMS = c.clock().UnixMilli()
+// record stamps ev, folds it into the counts (apply), journals it, and
+// fans it out. Every recording method funnels through here.
+func (c *Collector) record(ev Event) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.apply(&ev, c.clock())
 	if c.sink != nil {
 		line, err := json.Marshal(ev)
 		if err == nil {
@@ -193,166 +194,131 @@ func (c *Collector) emit(ev Event) {
 	}
 }
 
-// SweepStart records the opening of a batch of n jobs.
-func (c *Collector) SweepStart(n int) {
-	if c == nil {
+// apply is the one place an event changes the collector's counts: live
+// recording and Replay both go through it, so a replayed journal and the
+// live Snapshot cannot disagree. It assigns the event's seq and timestamp
+// (at), fills in the job's hash and, on done events, the started→done
+// duration. Callers hold c.mu (or own c exclusively).
+func (c *Collector) apply(ev *Event, at time.Time) {
+	c.seq++
+	ev.Seq = c.seq
+	ev.TMS = at.UnixMilli()
+	if ev.Type == EventSweepStart {
+		if c.start.IsZero() {
+			c.start = at
+		}
+		c.total += ev.Jobs
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.start.IsZero() {
-		c.start = c.clock()
+	if ev.Key == "" {
+		return // sweep_end
 	}
-	c.total += n
-	c.emit(Event{Type: EventSweepStart, Jobs: n})
+	st := c.jobs[ev.Key]
+	if st == nil || ev.Type == EventQueued {
+		st = &jobState{}
+		c.jobs[ev.Key] = st
+	}
+	if ev.Hash != "" {
+		st.hash = ev.Hash
+	}
+	ev.Hash = st.hash
+	switch ev.Type {
+	case EventStarted:
+		st.started = at
+		st.running = true
+	case EventAttempt:
+		st.attempt = ev.Attempt
+	case EventCacheCorrupt:
+		c.corrupt++
+	case EventPanic:
+		c.panics++
+	case EventTimeout:
+		c.timeouts++
+	case EventRetry:
+		c.retries++
+	case EventExpired:
+		c.expired++
+	case EventDone:
+		if st.running {
+			ev.DurMS = float64(at.Sub(st.started)) / float64(time.Millisecond)
+		}
+		delete(c.jobs, ev.Key)
+		c.completed++
+		c.byOutcome[ev.Outcome]++
+	}
+}
+
+// SweepStart records the opening of a batch of n jobs.
+func (c *Collector) SweepStart(n int) {
+	if c != nil {
+		c.record(Event{Type: EventSweepStart, Jobs: n})
+	}
 }
 
 // SweepEnd records the close of a batch.
 func (c *Collector) SweepEnd() {
-	if c == nil {
-		return
+	if c != nil {
+		c.record(Event{Type: EventSweepEnd})
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.emit(Event{Type: EventSweepEnd})
 }
 
 // JobQueued records a job's submission to the worker pool.
 func (c *Collector) JobQueued(key, hash string) {
-	if c == nil {
-		return
+	if c != nil {
+		c.record(Event{Type: EventQueued, Key: key, Hash: hash})
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.jobs[key] = &jobState{hash: hash}
-	c.emit(Event{Type: EventQueued, Key: key, Hash: hash})
-}
-
-// job returns (creating if the queued event was never seen) the state for
-// key. Callers hold c.mu.
-func (c *Collector) job(key, hash string) *jobState {
-	st := c.jobs[key]
-	if st == nil {
-		st = &jobState{}
-		c.jobs[key] = st
-	}
-	if hash != "" {
-		st.hash = hash
-	}
-	return st
 }
 
 // JobStarted records a worker picking the job up.
 func (c *Collector) JobStarted(key, hash string) {
-	if c == nil {
-		return
+	if c != nil {
+		c.record(Event{Type: EventStarted, Key: key, Hash: hash})
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.job(key, hash)
-	st.started = c.clock()
-	st.running = true
-	c.emit(Event{Type: EventStarted, Key: key, Hash: st.hash})
 }
 
 // JobAttempt records the start of simulation attempt n (1-based).
 func (c *Collector) JobAttempt(key string, n int) {
-	if c == nil {
-		return
+	if c != nil {
+		c.record(Event{Type: EventAttempt, Key: key, Attempt: n})
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.job(key, "")
-	st.attempt = n
-	c.emit(Event{Type: EventAttempt, Key: key, Hash: st.hash, Attempt: n})
-}
-
-// cacheEvent emits one of the cache_* event types for key.
-func (c *Collector) cacheEvent(typ, key string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.job(key, "")
-	if typ == EventCacheCorrupt {
-		c.corrupt++
-	}
-	c.emit(Event{Type: typ, Key: key, Hash: st.hash})
 }
 
 // CacheHit / CacheMiss / CacheCorrupt record the result-cache consultation.
-func (c *Collector) CacheHit(key string)     { c.cacheEvent(EventCacheHit, key) }
-func (c *Collector) CacheMiss(key string)    { c.cacheEvent(EventCacheMiss, key) }
-func (c *Collector) CacheCorrupt(key string) { c.cacheEvent(EventCacheCorrupt, key) }
-
-// attemptEvent emits a per-attempt failure/retry event and bumps its
-// counter.
-func (c *Collector) attemptEvent(typ, key string, n int, counter *int) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	*counter++
-	st := c.job(key, "")
-	c.emit(Event{Type: typ, Key: key, Hash: st.hash, Attempt: n})
-}
+func (c *Collector) CacheHit(key string)     { c.jobEvent(EventCacheHit, key, 0) }
+func (c *Collector) CacheMiss(key string)    { c.jobEvent(EventCacheMiss, key, 0) }
+func (c *Collector) CacheCorrupt(key string) { c.jobEvent(EventCacheCorrupt, key, 0) }
 
 // JobPanic records a recovered panic on attempt n.
-func (c *Collector) JobPanic(key string, n int) {
-	if c == nil {
-		return
-	}
-	c.attemptEvent(EventPanic, key, n, &c.panics)
-}
+func (c *Collector) JobPanic(key string, n int) { c.jobEvent(EventPanic, key, n) }
 
 // JobTimeout records a job-deadline expiry on attempt n.
-func (c *Collector) JobTimeout(key string, n int) {
-	if c == nil {
-		return
-	}
-	c.attemptEvent(EventTimeout, key, n, &c.timeouts)
-}
+func (c *Collector) JobTimeout(key string, n int) { c.jobEvent(EventTimeout, key, n) }
 
 // JobRetry records the decision to re-run after a retryable failure; n is
-// the attempt being retried.
-func (c *Collector) JobRetry(key string, n int) {
-	if c == nil {
-		return
-	}
-	c.attemptEvent(EventRetry, key, n, &c.retries)
-}
+// the attempt being retried. Only the farm coordinator retries.
+func (c *Collector) JobRetry(key string, n int) { c.jobEvent(EventRetry, key, n) }
 
 // JobExpired records a farm lease lapsing on attempt n: the worker holding
 // the job stopped heartbeating. The coordinator forwards this span on the
 // worker's behalf — the one lifecycle transition a remote fleet has that
 // an in-process sweep does not.
-func (c *Collector) JobExpired(key string, n int) {
-	if c == nil {
-		return
+func (c *Collector) JobExpired(key string, n int) { c.jobEvent(EventExpired, key, n) }
+
+// jobEvent records an event of type typ for key on attempt n (0 for the
+// cache events, which carry no attempt).
+func (c *Collector) jobEvent(typ, key string, n int) {
+	if c != nil {
+		c.record(Event{Type: typ, Key: key, Attempt: n})
 	}
-	c.attemptEvent(EventExpired, key, n, &c.expired)
 }
 
 // JobDone records a job's terminal state. outcome is one of the Outcome*
 // constants, attempts the total attempt count, errText the terminal error
 // ("" on success).
 func (c *Collector) JobDone(key, outcome string, attempts int, errText string) {
-	if c == nil {
-		return
+	if c != nil {
+		c.record(Event{Type: EventDone, Key: key, Outcome: outcome, Attempt: attempts, Error: errText})
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.job(key, "")
-	ev := Event{Type: EventDone, Key: key, Hash: st.hash, Outcome: outcome, Attempt: attempts, Error: errText}
-	if st.running {
-		ev.DurMS = float64(c.clock().Sub(st.started)) / float64(time.Millisecond)
-	}
-	delete(c.jobs, key)
-	c.completed++
-	c.byOutcome[outcome]++
-	c.emit(ev)
 }
 
 // SinkErr returns the first error encountered writing the telemetry
@@ -414,7 +380,12 @@ func (c *Collector) Snapshot() Progress {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.clock()
+	return c.progress(c.clock())
+}
+
+// progress computes the Progress view as of now. Callers hold c.mu (or own
+// c exclusively).
+func (c *Collector) progress(now time.Time) Progress {
 	p := Progress{
 		Jobs:         c.total,
 		Completed:    c.completed,

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -174,23 +175,25 @@ func TestCollectorSinkAndReplay(t *testing.T) {
 		t.Fatalf("journal has %d lines, collector emitted %d events", len(lines), p.Events)
 	}
 
-	tot, n, err := Replay(strings.NewReader(buf.String()))
+	got, err := Replay(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(lines) {
-		t.Fatalf("replayed %d events, want %d", n, len(lines))
+	if got.Jobs != 4 || got.Simulated != 2 || got.Cached != 1 || got.Canceled != 1 ||
+		got.Panics != 1 || got.Timeouts != 1 || got.Retries != 2 || got.InFlight != 0 {
+		t.Fatalf("replayed progress = %+v", got)
 	}
-	want := Totals{Jobs: 4, Simulated: 2, CacheHits: 1, Canceled: 1, Panics: 1, TimedOut: 1, Retried: 2}
-	if tot != want {
-		t.Fatalf("replay totals = %+v, want %+v", tot, want)
+	// The fake clock never moved, so even the time-based fields agree:
+	// replay and the live snapshot are one computation over one event set.
+	if !reflect.DeepEqual(got, p) {
+		t.Fatalf("replay diverges from the live snapshot:\n  replay: %+v\n  live:   %+v", got, p)
 	}
 
 	// A torn final line (crashed writer) is tolerated.
 	torn := buf.String() + `{"seq":999,"type":"done","ou`
-	tot2, _, err := Replay(strings.NewReader(torn))
-	if err != nil || tot2 != want {
-		t.Fatalf("torn replay: %+v, %v", tot2, err)
+	got2, err := Replay(strings.NewReader(torn))
+	if err != nil || !reflect.DeepEqual(got2, p) {
+		t.Fatalf("torn replay: %+v, %v", got2, err)
 	}
 }
 

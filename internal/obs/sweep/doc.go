@@ -1,10 +1,12 @@
 // Package sweep is the sweep-scoped half of the observability layer: where
 // package obs instruments one simulation, sweep instruments the fleet of
 // jobs around it. It provides a job-lifecycle event model (queued → started
-// → attempt N → cache hit/miss → panic/timeout/retry → terminal outcome), a
-// Collector the runner calls at each transition, an append-only JSONL
-// telemetry journal with a tolerant replayer, and an HTTP status server
-// (/progress, /metrics, /events, /debug/pprof) for watching a live sweep.
+// → cache hit/miss → attempt → panic/timeout → terminal outcome), a
+// Collector the runner calls at each transition — the one count of a
+// sweep's jobs — an append-only JSONL telemetry journal whose replayer
+// folds events through the Collector's own counting step, and an HTTP
+// status server (/progress, /metrics, /events, /debug/pprof) for watching a
+// live sweep.
 //
 // The Collector is deliberately cheap and safe to thread everywhere: every
 // recording method is nil-receiver safe (a disabled sweep pays one nil
@@ -17,8 +19,9 @@
 // runner's worker goroutines drive the Collector directly. In a sweep farm
 // (internal/farm), the coordinator forwards spans on behalf of its remote
 // workers — a lease grant becomes a started/attempt span, a pushed result
-// becomes a done span, and a lapsed lease becomes an expired span
-// (EventExpired, the one lifecycle event that has no in-process analogue,
-// because a worker goroutine cannot vanish without its process). Either
+// becomes a done span, a lapsed lease becomes an expired span and a
+// re-queue a retry span (EventExpired and EventRetry have no in-process
+// analogue: a worker goroutine cannot vanish without its process, and the
+// runner simulates each job once). Either
 // way, /progress, /metrics, and /events report one aggregated fleet.
 package sweep

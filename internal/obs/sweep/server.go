@@ -21,8 +21,8 @@ type ServerConfig struct {
 	Collector *Collector
 	// Metrics feeds /metrics (Prometheus text exposition). The function
 	// must be safe to call at any time from the serving goroutine — hand it
-	// a registry of concurrency-safe gauges (runner.Stats.Register,
-	// Collector.Register), never a live simulation's registry.
+	// a registry of concurrency-safe gauges (Collector.Register), never a
+	// live simulation's registry.
 	Metrics func() *obs.Snapshot
 	// Run feeds /progress (run section) with single-simulation progress;
 	// ok=false means no observation yet.

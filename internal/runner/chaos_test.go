@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/sweep"
 	"repro/internal/runspec"
 	"repro/internal/sim"
@@ -27,6 +26,16 @@ func stubSim(t *testing.T, fn func(ctx context.Context, cfg sim.Config) (*sim.Re
 	old := runSim
 	runSim = fn
 	t.Cleanup(func() { runSim = old })
+}
+
+// run is Run with a collector attached (a fresh one unless opts brings
+// its own), returning the collector's counts after the batch.
+func run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary, sweep.Progress, error) {
+	if opts.Telemetry == nil {
+		opts.Telemetry = sweep.New()
+	}
+	res, err := Run(ctx, opts, jobs)
+	return res, opts.Telemetry.Snapshot(), err
 }
 
 // mustSweepID returns the sweep identity the runner names its journals by.
@@ -62,12 +71,13 @@ const (
 	seedPanic
 	seedHang
 	seedDeadlock
-	seedFlaky
 )
 
 // TestChaosPanicAndHangIsolated is the acceptance scenario: a sweep with
-// one panicking job and one hanging job completes every other job, names
-// both failures in the joined error, and counts Panics=1, TimedOut=1.
+// one panicking job, one hanging job and one whose simulation trips the
+// deadlock watchdog completes every other job, names all three failures in
+// the joined error (the watchdog trip typed), and counts Panics=1,
+// Timeouts=1.
 func TestChaosPanicAndHangIsolated(t *testing.T) {
 	stubSim(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, *sim.Summary, error) {
 		switch cfg.Seed {
@@ -75,6 +85,8 @@ func TestChaosPanicAndHangIsolated(t *testing.T) {
 			panic("injected chaos panic")
 		case seedHang:
 			return stubHang(ctx)
+		case seedDeadlock:
+			return nil, nil, fmt.Errorf("wedged: %w", sim.ErrDeadlock)
 		default:
 			return stubOK(cfg)
 		}
@@ -82,14 +94,15 @@ func TestChaosPanicAndHangIsolated(t *testing.T) {
 	jobs := []Job{
 		stubJob("ok1", seedOK), stubJob("boom", seedPanic), stubJob("ok2", seedOK+10),
 		stubJob("wedge", seedHang), stubJob("ok3", seedOK+20), stubJob("ok4", seedOK+30),
+		stubJob("dead", seedDeadlock),
 	}
-	res, st, err := Run(context.Background(), Options{
+	res, st, err := run(context.Background(), Options{
 		Parallel: 2, KeepGoing: true, JobTimeout: 50 * time.Millisecond,
 	}, jobs)
 	if err == nil {
-		t.Fatal("want joined error naming both failures")
+		t.Fatal("want joined error naming every failure")
 	}
-	for _, key := range []string{"boom", "wedge"} {
+	for _, key := range []string{"boom", "wedge", "dead"} {
 		if !strings.Contains(err.Error(), key) {
 			t.Errorf("error should name %s: %v", key, err)
 		}
@@ -97,8 +110,8 @@ func TestChaosPanicAndHangIsolated(t *testing.T) {
 	if len(res) != 4 {
 		t.Fatalf("all healthy jobs must complete: got %d results", len(res))
 	}
-	if st.Panics != 1 || st.TimedOut != 1 || st.Failures != 2 || st.Simulated != 4 || st.Canceled != 0 {
-		t.Fatalf("stats: %s", st)
+	if st.Panics != 1 || st.Timeouts != 1 || st.Failed != 3 || st.Simulated != 4 || st.Canceled != 0 {
+		t.Fatalf("stats: %+v", st)
 	}
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -109,6 +122,9 @@ func TestChaosPanicAndHangIsolated(t *testing.T) {
 	}
 	if !errors.Is(err, ErrJobTimeout) {
 		t.Fatalf("joined error should carry the job timeout: %v", err)
+	}
+	if !errors.Is(err, sim.ErrDeadlock) {
+		t.Fatalf("a watchdog trip must surface typed through the joined error: %v", err)
 	}
 }
 
@@ -122,77 +138,12 @@ func TestChaosPanicCancelsBatchByDefault(t *testing.T) {
 		return stubOK(cfg)
 	})
 	jobs := []Job{stubJob("boom", seedPanic), stubJob("a", seedOK), stubJob("b", seedOK+1), stubJob("c", seedOK+2)}
-	_, st, err := Run(context.Background(), Options{Parallel: 1}, jobs)
+	_, st, err := run(context.Background(), Options{Parallel: 1}, jobs)
 	if err == nil {
 		t.Fatal("want error")
 	}
-	if st.Panics != 1 || st.Failures != 1 || st.Canceled != 3 {
-		t.Fatalf("stats: %s", st)
-	}
-}
-
-// TestChaosRetry: a flaky job that panics twice then succeeds is retried
-// deterministically to success; a deterministic watchdog trip is never
-// retried even with retries budgeted.
-func TestChaosRetry(t *testing.T) {
-	var mu sync.Mutex
-	attempts := map[int64]int{}
-	stubSim(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, *sim.Summary, error) {
-		mu.Lock()
-		attempts[cfg.Seed]++
-		n := attempts[cfg.Seed]
-		mu.Unlock()
-		switch cfg.Seed {
-		case seedFlaky:
-			if n <= 2 {
-				panic(fmt.Sprintf("flaky attempt %d", n))
-			}
-			return stubOK(cfg)
-		case seedDeadlock:
-			return nil, nil, fmt.Errorf("wedged: %w", sim.ErrDeadlock)
-		default:
-			return stubOK(cfg)
-		}
-	})
-	jobs := []Job{stubJob("flaky", seedFlaky), stubJob("dead", seedDeadlock)}
-	res, st, err := Run(context.Background(), Options{Parallel: 1, KeepGoing: true, Retries: 3}, jobs)
-	if _, ok := res["flaky"]; !ok {
-		t.Fatalf("flaky job must succeed after retries; err=%v", err)
-	}
-	if st.Retried != 2 || st.Panics != 2 || st.Simulated != 1 {
-		t.Fatalf("stats: %s", st)
-	}
-	if st.Failures != 1 || !errors.Is(err, sim.ErrDeadlock) {
-		t.Fatalf("deadlock must surface typed through the joined error: %v (stats %s)", err, st)
-	}
-	if attempts[seedDeadlock] != 1 {
-		t.Fatalf("a deterministic deadlock must not be retried: %d attempts", attempts[seedDeadlock])
-	}
-}
-
-// TestChaosTimeoutRetried: job timeouts are a retryable class — a job that
-// hangs once and then completes survives with Retries=1.
-func TestChaosTimeoutRetried(t *testing.T) {
-	var mu sync.Mutex
-	attempts := 0
-	stubSim(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, *sim.Summary, error) {
-		mu.Lock()
-		attempts++
-		n := attempts
-		mu.Unlock()
-		if n == 1 {
-			return stubHang(ctx)
-		}
-		return stubOK(cfg)
-	})
-	res, st, err := Run(context.Background(), Options{
-		Parallel: 1, Retries: 1, JobTimeout: 30 * time.Millisecond,
-	}, []Job{stubJob("slow", seedHang)})
-	if err != nil {
-		t.Fatalf("retried timeout should succeed: %v", err)
-	}
-	if _, ok := res["slow"]; !ok || st.TimedOut != 1 || st.Retried != 1 || st.Failures != 0 {
-		t.Fatalf("stats: %s", st)
+	if st.Panics != 1 || st.Failed != 1 || st.Canceled != 3 {
+		t.Fatalf("stats: %+v", st)
 	}
 }
 
@@ -205,9 +156,9 @@ func TestChaosParentDeadlineClassifiedCanceled(t *testing.T) {
 	})
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, st, err := Run(ctx, Options{Parallel: 2}, []Job{stubJob("a", seedOK), stubJob("b", seedOK+1)})
-	if st.Failures != 0 || st.Canceled != 2 {
-		t.Fatalf("parent deadline must count as canceled, not failed: %s (err=%v)", st, err)
+	_, st, err := run(ctx, Options{Parallel: 2}, []Job{stubJob("a", seedOK), stubJob("b", seedOK+1)})
+	if st.Failed != 0 || st.Canceled != 2 {
+		t.Fatalf("parent deadline must count as canceled, not failed: %+v (err=%v)", st, err)
 	}
 	if err == nil || !strings.Contains(err.Error(), "canceled") {
 		t.Fatalf("canceled jobs must still be accounted for: %v", err)
@@ -272,9 +223,9 @@ func TestChaosMidSweepCancelResume(t *testing.T) {
 			cancel()
 		}
 	}}
-	_, st, err := Run(ctx, opts, jobs)
-	if st.Simulated != 2 || st.Canceled != 3 || st.Failures != 0 {
-		t.Fatalf("interrupted sweep stats: %s (err=%v)", st, err)
+	_, st, err := run(ctx, opts, jobs)
+	if st.Simulated != 2 || st.Canceled != 3 || st.Failed != 0 {
+		t.Fatalf("interrupted sweep stats: %+v (err=%v)", st, err)
 	}
 
 	// The journal must already record every terminal state.
@@ -286,12 +237,12 @@ func TestChaosMidSweepCancelResume(t *testing.T) {
 
 	// Resume: same sweep, fresh context — completed jobs come from the
 	// cache, nothing is re-simulated.
-	_, st2, err2 := Run(context.Background(), Options{Parallel: 1, Cache: cache, Telemetry: sweep.New()}, jobs)
+	_, st2, err2 := run(context.Background(), Options{Parallel: 1, Cache: cache, Telemetry: sweep.New()}, jobs)
 	if err2 != nil {
 		t.Fatal(err2)
 	}
-	if st2.CacheHits != 2 || st2.Simulated != 3 {
-		t.Fatalf("resume stats: %s", st2)
+	if st2.Cached != 2 || st2.Simulated != 3 {
+		t.Fatalf("resume stats: %+v", st2)
 	}
 	for seed, n := range simulated {
 		if n != 1 {
@@ -300,16 +251,10 @@ func TestChaosMidSweepCancelResume(t *testing.T) {
 	}
 
 	// The resumed run appended its own sweep_start and events to the same
-	// file, and the whole journal replays to both runs' stats combined.
+	// file.
 	counts = journalCounts(readJournal(t, path))
 	if counts[sweep.EventSweepStart] != 2 || counts["done/"+sweep.OutcomeCached] != 2 || counts["done/"+sweep.OutcomeDone] != 5 {
 		t.Fatalf("journal after resume: %v", counts)
-	}
-	var both Stats
-	both.Add(st)
-	both.Add(st2)
-	if got := replayTotals(t, path); got != both {
-		t.Fatalf("replayed totals diverge:\n  replay: %s\n  stats:  %s", got, both)
 	}
 }
 
@@ -329,7 +274,7 @@ func TestChaosManifestStates(t *testing.T) {
 	})
 	cache := NewCache(t.TempDir())
 	jobs := []Job{stubJob("ok", seedOK), stubJob("boom", seedPanic), stubJob("wedge", seedHang)}
-	_, _, err := Run(context.Background(), Options{
+	_, err := Run(context.Background(), Options{
 		Parallel: 1, KeepGoing: true, Cache: cache, JobTimeout: 30 * time.Millisecond,
 		Telemetry: sweep.New(),
 	}, jobs)
@@ -353,27 +298,6 @@ func TestChaosManifestStates(t *testing.T) {
 	}
 }
 
-// TestStatsRegisterObs: the hardening counters surface through the obs
-// metrics registry.
-func TestStatsRegisterObs(t *testing.T) {
-	st := Stats{Jobs: 7, Panics: 1, TimedOut: 2, Retried: 3, CacheCorrupt: 4}
-	reg := obs.NewRegistry()
-	st.Register(reg)
-	want := map[string]float64{
-		"runner_jobs": 7, "runner_panics": 1, "runner_timed_out": 2,
-		"runner_retried": 3, "runner_cache_corrupt": 4, "runner_failures": 0,
-	}
-	got := map[string]float64{}
-	for _, s := range reg.Snapshot().Samples {
-		got[s.Name] = s.Value
-	}
-	for name, v := range want {
-		if got[name] != v {
-			t.Errorf("%s = %v, want %v", name, got[name], v)
-		}
-	}
-}
-
 // TestUnhashableSweepSkipsJournals: a job set with an unhashable spec has
 // no sweep identity, so Run writes no telemetry journal (two such sets
 // must never share one) while the bad job still fails with its
@@ -386,14 +310,14 @@ func TestUnhashableSweepSkipsJournals(t *testing.T) {
 	bad := stubJob("bad", seedOK+1)
 	bad.Spec.DataFrac = math.NaN()
 	jobs := []Job{stubJob("ok", seedOK), bad}
-	res, st, err := Run(context.Background(), Options{
+	res, st, err := run(context.Background(), Options{
 		Parallel: 1, Cache: NewCache(dir), KeepGoing: true, Telemetry: sweep.New(),
 	}, jobs)
 	if err == nil || !strings.Contains(err.Error(), "bad:") {
 		t.Fatalf("want the bad job's spec error, got %v", err)
 	}
-	if res["ok"] == nil || st.Simulated != 1 || st.Failures != 1 {
-		t.Fatalf("stats: %s (results %v)", st, res)
+	if res["ok"] == nil || st.Simulated != 1 || st.Failed != 1 {
+		t.Fatalf("stats: %+v (results %v)", st, res)
 	}
 	if m, _ := filepath.Glob(filepath.Join(dir, "sweep-*")); len(m) != 0 {
 		t.Fatalf("unhashable sweep wrote journal %v", m)

@@ -14,7 +14,7 @@ import (
 // simulation would run forever, but the heartbeat hook reports a fatal
 // error (the farm coordinator said lease_gone), which must cancel the
 // in-flight attempt promptly and classify it as ErrHeartbeatCanceled —
-// terminal, never retried, and never mistaken for batch cancellation.
+// a job failure, never mistaken for batch cancellation.
 func TestChaosHeartbeatCancelAbortsAttempt(t *testing.T) {
 	var sims atomic.Int32
 	stubSim(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, *sim.Summary, error) {
@@ -25,7 +25,6 @@ func TestChaosHeartbeatCancelAbortsAttempt(t *testing.T) {
 	leaseGone := errors.New("lease gone: l1-deadbeef")
 	opts := Options{
 		Parallel:       1,
-		Retries:        3, // must NOT be consumed: heartbeat failure is terminal
 		HeartbeatEvery: 2 * time.Millisecond,
 		OnHeartbeat: func(j Job) error {
 			if beats.Add(1) >= 3 {
@@ -35,7 +34,7 @@ func TestChaosHeartbeatCancelAbortsAttempt(t *testing.T) {
 		},
 	}
 	start := time.Now()
-	_, st, err := Run(context.Background(), opts, []Job{stubJob("doomed", seedHang)})
+	_, st, err := run(context.Background(), opts, []Job{stubJob("doomed", seedHang)})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("attempt was not aborted promptly: took %v", elapsed)
 	}
@@ -51,10 +50,10 @@ func TestChaosHeartbeatCancelAbortsAttempt(t *testing.T) {
 		t.Fatalf("heartbeat abort must not classify as canceled: %v", err)
 	}
 	if got := sims.Load(); got != 1 {
-		t.Fatalf("attempt was retried after heartbeat abort: %d sims", got)
+		t.Fatalf("heartbeat abort ran %d simulations, want 1", got)
 	}
-	if st.Failures != 1 || st.Canceled != 0 {
-		t.Fatalf("want Failures=1 Canceled=0, got %+v", st)
+	if st.Failed != 1 || st.Canceled != 0 {
+		t.Fatalf("want Failed=1 Canceled=0, got %+v", st)
 	}
 }
 
@@ -66,7 +65,7 @@ func TestHeartbeatNilKeepsRunning(t *testing.T) {
 		return stubOK(cfg)
 	})
 	var beats atomic.Int32
-	res, _, err := Run(context.Background(), Options{
+	res, err := Run(context.Background(), Options{
 		HeartbeatEvery: 2 * time.Millisecond,
 		OnHeartbeat:    func(j Job) error { beats.Add(1); return nil },
 	}, []Job{stubJob("steady", seedOK)})

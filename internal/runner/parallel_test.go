@@ -73,7 +73,7 @@ func TestDefaultPoolUsesEveryCPU(t *testing.T) {
 		}
 	})
 	jobs := []Job{stubJob("a", seedOK), stubJob("b", seedOK+1), stubJob("c", seedOK+2), stubJob("d", seedOK+3)}
-	res, _, err := Run(context.Background(), Options{}, jobs)
+	res, err := Run(context.Background(), Options{}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRunRejectsBadKeys(t *testing.T) {
 	}
 	for _, tc := range cases {
 		dir := t.TempDir()
-		res, _, err := Run(context.Background(), Options{Cache: NewCache(dir), Telemetry: sweep.New()}, tc.jobs)
+		res, err := Run(context.Background(), Options{Cache: NewCache(dir), Telemetry: sweep.New()}, tc.jobs)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v must contain %q", tc.name, err, tc.want)
 		}

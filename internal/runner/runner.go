@@ -35,15 +35,15 @@ func (e *PanicError) Error() string {
 }
 
 // ErrJobTimeout marks a job that exceeded Options.JobTimeout. Distinct
-// from batch cancellation: a timed-out job is a (retryable) failure, a
-// canceled job never ran.
+// from batch cancellation: a timed-out job is a failure, a canceled job
+// never ran.
 var ErrJobTimeout = errors.New("runner: job timeout exceeded")
 
 // ErrHeartbeatCanceled marks an attempt aborted because the OnHeartbeat
 // hook returned an error: the executor's claim on the job is gone (e.g. a
 // farm lease expired or was revoked), so the simulation was cancelled
-// mid-flight rather than burning CPU on work nobody will accept. Not
-// retryable, and deliberately distinct from batch cancellation.
+// mid-flight rather than burning CPU on work nobody will accept.
+// Deliberately distinct from batch cancellation.
 var ErrHeartbeatCanceled = errors.New("runner: attempt abandoned on heartbeat failure")
 
 // Options configure a batch run.
@@ -59,17 +59,12 @@ type Options struct {
 	// KeepGoing runs every job even after failures; by default the first
 	// failure cancels the queued remainder (in-flight simulations finish).
 	KeepGoing bool
-	// JobTimeout bounds each simulation attempt's wall-clock runtime; the
-	// deadline is driven through sim.RunContext, so a wedged simulation is
-	// abandoned cooperatively. Zero disables the per-job deadline.
+	// JobTimeout bounds each simulation's wall-clock runtime; the deadline
+	// is driven through sim.RunContext, so a wedged simulation is abandoned
+	// cooperatively. Zero disables the per-job deadline. Each job is
+	// simulated at most once: the simulator is deterministic, so a re-run
+	// of a panicked job panics again.
 	JobTimeout time.Duration
-	// Retries re-runs a job after a retryable failure — a recovered panic
-	// or a job timeout — up to this many extra attempts, deterministically
-	// and without backoff (the simulator is deterministic, so a retry only
-	// helps against environmental flakes: memory pressure, CPU
-	// contention, wall-clock timeouts). Spec errors, simulator watchdog
-	// trips, and cancellation are never retried. Default 0.
-	Retries int
 	// Observer, when non-nil, builds a fresh per-job observability bundle
 	// for jobs that actually simulate (cache hits produce no artifacts);
 	// AfterSim then runs post-simulation with the same observer, e.g. to
@@ -80,11 +75,6 @@ type Options struct {
 	// hits and failures) with the completed count and total. Calls are
 	// serialized.
 	OnJobDone func(done, total int, j Job, cached bool, err error)
-	// Stats, when non-nil, is updated live (atomic operations) as jobs
-	// reach terminal states, so gauges installed by Stats.Register and
-	// Stats.Snapshot report mid-run values. Run adds the same totals it
-	// returns, so one Stats may accumulate across sequential Runs.
-	Stats *Stats
 	// OnHeartbeat, when non-nil together with a positive HeartbeatEvery, is
 	// invoked every HeartbeatEvery on a side goroutine while a job attempt
 	// is simulating — the lease-aware execution hook: a farm worker renews
@@ -94,17 +84,19 @@ type Options struct {
 	// panic; it stops (and is waited for) before the attempt's outcome is
 	// classified. Returning a non-nil error cancels the in-flight attempt:
 	// the simulation's context fires, and if the attempt then fails it is
-	// reported as ErrHeartbeatCanceled (terminal, never retried) carrying
-	// the hook's error. Transient heartbeat hiccups should return nil; only
-	// a definitive "this attempt is worthless now" (lease gone, credentials
-	// rejected) should return an error.
+	// reported as ErrHeartbeatCanceled carrying the hook's error. Transient
+	// heartbeat hiccups should return nil; only a definitive "this attempt
+	// is worthless now" (lease gone, credentials rejected) should return an
+	// error.
 	OnHeartbeat    func(j Job) error
 	HeartbeatEvery time.Duration
 	// Telemetry, when non-nil, receives a job-lifecycle event at every
-	// transition: queued → started → attempt N → cache hit/miss →
-	// panic/timeout/retry → terminal outcome. When a Cache is also
-	// configured, the events are journaled to TelemetryPath — the sweep's
-	// one on-disk journal, recording each job's key, hash, terminal
+	// transition: queued → started → cache hit/miss/corrupt → attempt →
+	// panic/timeout → done (a canceled job goes queued → done). It is the
+	// only count of what a Run did: a nil collector keeps no counts, and
+	// Run's error still names every failed and canceled job. When a Cache
+	// is also configured, the events are journaled to TelemetryPath — the
+	// sweep's one on-disk journal, recording each job's key, hash, terminal
 	// outcome, attempts and error text as it happens, so an interrupted or
 	// crashed sweep is diagnosable from disk (append-only JSONL, replayable
 	// with sweep.Replay). A nil collector costs one nil check per
@@ -131,16 +123,13 @@ var runSim = func(ctx context.Context, cfg sim.Config) (*sim.Result, *sim.Summar
 	return res, res.Summarize(), nil
 }
 
-// outcome is one job's terminal record plus the event counts accumulated
-// across its attempts.
+// outcome is one job's terminal record. attempts is 1 when the job was
+// simulated (successfully or not) and 0 otherwise.
 type outcome struct {
 	sum      *sim.Summary
 	cached   bool
 	err      error
 	attempts int
-	panics   int
-	timeouts int
-	corrupt  int
 }
 
 // outcomeState classifies a terminal outcome into the telemetry journal's
@@ -174,30 +163,26 @@ func canceledOutcome(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Run executes jobs and returns summaries keyed by Job.Key, plus the batch
-// stats. Every failure is reported: the returned error errors.Join-s one
-// error per failed job (prefixed with its key), and jobs skipped by
-// cancellation are counted so missing results are always accounted for —
-// a key absent from the map is named in the error, never silently dropped.
+// Run executes jobs and returns summaries keyed by Job.Key. Every failure
+// is reported: the returned error errors.Join-s one error per failed job
+// (prefixed with its key), and jobs skipped by cancellation are counted in
+// it, so missing results are always accounted for — a key absent from the
+// map is a failure named in the error or one of the canceled jobs. Counts
+// of what the batch did are kept by Options.Telemetry.
 // A batch with an empty or duplicate key (runspec.CheckKeys) is rejected
 // whole, before any job runs or any journal opens.
 //
-// Cancellation drains: once ctx fires, queued jobs are skipped (counted
-// Canceled) while in-flight simulations run to completion and land in the
+// Cancellation drains: once ctx fires, queued jobs are skipped (journaled
+// canceled) while in-flight simulations run to completion and land in the
 // cache, so an interrupted sweep loses no finished work. Each in-flight
 // job remains bounded by Options.JobTimeout.
-func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary, Stats, error) {
+func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary, error) {
 	if err := runspec.CheckKeys(jobs); err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
-	var stats Stats
-	stats.addJobs(len(jobs))
 	results := make(map[string]*sim.Summary, len(jobs))
 	if len(jobs) == 0 {
-		return results, stats, nil
-	}
-	if opts.Stats != nil {
-		opts.Stats.addJobs(len(jobs))
+		return results, nil
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -240,9 +225,6 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 		defer mu.Unlock()
 		done++
 		out := outcomes[i]
-		if opts.Stats != nil {
-			opts.Stats.accumulate(out)
-		}
 		if tel != nil {
 			errText := ""
 			if out.err != nil {
@@ -284,18 +266,19 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 	wg.Wait()
 
 	var errs []error
+	canceled := 0
 	for i, out := range outcomes {
-		stats.accumulate(out)
 		switch {
 		case out.err == nil:
 			results[jobs[i].Key] = out.sum
 		case canceledOutcome(out.err):
+			canceled++
 		default:
 			errs = append(errs, fmt.Errorf("%s: %w", jobs[i].Key, out.err))
 		}
 	}
-	if stats.Canceled > 0 {
-		errs = append(errs, fmt.Errorf("runner: %d jobs canceled before running (completed results are cached; rerun to resume)", stats.Canceled))
+	if canceled > 0 {
+		errs = append(errs, fmt.Errorf("runner: %d jobs canceled before running (completed results are cached; rerun to resume)", canceled))
 	}
 	if tel != nil {
 		tel.SweepEnd()
@@ -317,7 +300,7 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 			errs = append(errs, fmt.Errorf("runner: sweep telemetry: %w", telErr))
 		}
 	}
-	return results, stats, errors.Join(errs...)
+	return results, errors.Join(errs...)
 }
 
 // TelemetryPath returns the job-lifecycle telemetry journal under dir for
@@ -335,8 +318,7 @@ func openTelemetry(dir, sweepID string) (*os.File, error) {
 	return os.OpenFile(TelemetryPath(dir, sweepID), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-// runJob resolves one job: cache hit → load, miss → simulate (with
-// retries for retryable failure classes) → store.
+// runJob resolves one job: cache hit → load, miss → simulate once → store.
 func runJob(ctx context.Context, opts Options, j Job) (out outcome) {
 	tel := opts.Telemetry
 	hash, herr := j.Spec.Hash()
@@ -353,50 +335,34 @@ func runJob(ctx context.Context, opts Options, j Job) (out outcome) {
 			out.sum, out.cached = sum, true
 			return out
 		case errors.Is(err, ErrCacheCorrupt):
-			out.corrupt++ // quarantined by LoadEntry; fall through to re-simulate
-			tel.CacheCorrupt(j.Key)
+			tel.CacheCorrupt(j.Key) // quarantined by LoadEntry; re-simulate
 		default:
 			tel.CacheMiss(j.Key)
 		}
 	}
 	cfg, err := j.Spec.SimConfig()
 	if err != nil {
-		out.err = err // spec errors are deterministic: never retried
-		return out
-	}
-	for {
-		out.attempts++
-		tel.JobAttempt(j.Key, out.attempts)
-		sum, err := runOnce(ctx, opts, j, cfg)
-		if err == nil {
-			if opts.Cache != nil {
-				if serr := opts.Cache.Store(hash, j.Spec.Normalized(), sum); serr != nil {
-					out.err = serr
-					return out
-				}
-			}
-			out.sum = sum
-			return out
-		}
-		var pe *PanicError
-		retryable := false
-		switch {
-		case errors.As(err, &pe):
-			out.panics++
-			retryable = true
-			tel.JobPanic(j.Key, out.attempts)
-		case errors.Is(err, ErrJobTimeout):
-			out.timeouts++
-			retryable = true
-			tel.JobTimeout(j.Key, out.attempts)
-		}
-		if retryable && out.attempts <= opts.Retries && ctx.Err() == nil {
-			tel.JobRetry(j.Key, out.attempts)
-			continue // deterministic re-run, no backoff
-		}
 		out.err = err
 		return out
 	}
+	out.attempts = 1
+	tel.JobAttempt(j.Key, 1)
+	sum, err := runOnce(ctx, opts, j, cfg)
+	var pe *PanicError
+	switch {
+	case err == nil && opts.Cache != nil:
+		err = opts.Cache.Store(hash, j.Spec.Normalized(), sum)
+	case errors.As(err, &pe):
+		tel.JobPanic(j.Key, 1)
+	case errors.Is(err, ErrJobTimeout):
+		tel.JobTimeout(j.Key, 1)
+	}
+	if err != nil {
+		out.err = err
+		return out
+	}
+	out.sum = sum
+	return out
 }
 
 // runOnce executes a single simulation attempt: a fresh observer, the
@@ -472,8 +438,8 @@ func runOnce(ctx context.Context, opts Options, j Job, cfg sim.Config) (sum *sim
 		}
 		if opts.JobTimeout > 0 && jctx.Err() != nil && errors.Is(err, context.DeadlineExceeded) {
 			// The job's own deadline fired, not the batch context: report a
-			// retryable timeout that deliberately does not wrap the
-			// deadline error, so it can never classify as canceled.
+			// timeout that deliberately does not wrap the deadline error,
+			// so it can never classify as canceled.
 			return nil, fmt.Errorf("%w (%v): %v", ErrJobTimeout, opts.JobTimeout, err)
 		}
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/sweep"
 	"repro/internal/runspec"
 	"repro/internal/sim"
 )
@@ -28,9 +29,9 @@ func tinyJobs(n int) []Job {
 	return jobs
 }
 
-func mustRun(t *testing.T, opts Options, jobs []Job) (map[string]*sim.Summary, Stats) {
+func mustRun(t *testing.T, opts Options, jobs []Job) (map[string]*sim.Summary, sweep.Progress) {
 	t.Helper()
-	res, st, err := Run(context.Background(), opts, jobs)
+	res, st, err := run(context.Background(), opts, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +43,8 @@ func TestCacheMissThenHit(t *testing.T) {
 	jobs := tinyJobs(3)
 
 	cold, st := mustRun(t, Options{Cache: cache, Parallel: 2}, jobs)
-	if st.Simulated != 3 || st.CacheHits != 0 {
-		t.Fatalf("cold run: %s", st)
+	if st.Simulated != 3 || st.Cached != 0 {
+		t.Fatalf("cold run: %+v", st)
 	}
 	if len(cold) != 3 {
 		t.Fatalf("cold results = %d, want 3", len(cold))
@@ -59,8 +60,8 @@ func TestCacheMissThenHit(t *testing.T) {
 	}
 
 	warm, st := mustRun(t, Options{Cache: cache, Parallel: 2}, jobs)
-	if st.Simulated != 0 || st.CacheHits != 3 {
-		t.Fatalf("warm run should be all cache hits: %s", st)
+	if st.Simulated != 0 || st.Cached != 3 {
+		t.Fatalf("warm run should be all cache hits: %+v", st)
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Error("cached summaries differ from simulated ones")
@@ -94,11 +95,11 @@ func TestCacheInvalidation(t *testing.T) {
 	}
 
 	_, st := mustRun(t, Options{Cache: cache}, jobs)
-	if st.Simulated != 2 || st.CacheHits != 1 {
-		t.Fatalf("invalidated entries should re-simulate: %s", st)
+	if st.Simulated != 2 || st.Cached != 1 {
+		t.Fatalf("invalidated entries should re-simulate: %+v", st)
 	}
 	if st.CacheCorrupt != 1 {
-		t.Errorf("the unparsable entry (but not the version skew) should count corrupt: %s", st)
+		t.Errorf("the unparsable entry (but not the version skew) should count corrupt: %+v", st)
 	}
 	if _, ok := cache.Load(h); !ok {
 		t.Error("re-simulation should rewrite the corrupted entry")
@@ -169,8 +170,8 @@ func TestCacheEntryWithTickWorkersStillHits(t *testing.T) {
 	if _, err := cache.LoadEntry(h); err != nil {
 		t.Fatalf("entry with tick_workers must load: %v", err)
 	}
-	if _, st := mustRun(t, Options{Cache: cache}, jobs); st.CacheHits != 1 || st.Simulated != 0 {
-		t.Fatalf("entry with tick_workers must be a hit: %s", st)
+	if _, st := mustRun(t, Options{Cache: cache}, jobs); st.Cached != 1 || st.Simulated != 0 {
+		t.Fatalf("entry with tick_workers must be a hit: %+v", st)
 	}
 }
 
@@ -185,8 +186,8 @@ func TestResumeAfterInterrupt(t *testing.T) {
 	cache := NewCache(t.TempDir())
 	mustRun(t, Options{Cache: cache}, jobs[:2])
 	resumed, st := mustRun(t, Options{Cache: cache}, jobs)
-	if st.Simulated != 3 || st.CacheHits != 2 {
-		t.Fatalf("resume should re-run only missing hashes: %s", st)
+	if st.Simulated != 3 || st.Cached != 2 {
+		t.Fatalf("resume should re-run only missing hashes: %+v", st)
 	}
 	if !reflect.DeepEqual(full, resumed) {
 		t.Error("resumed sweep differs from the uninterrupted one")
@@ -196,8 +197,8 @@ func TestResumeAfterInterrupt(t *testing.T) {
 func TestNoCacheAlwaysSimulates(t *testing.T) {
 	jobs := tinyJobs(2)
 	_, st := mustRun(t, Options{}, jobs)
-	if st.Simulated != 2 || st.CacheHits != 0 {
-		t.Fatalf("cacheless run: %s", st)
+	if st.Simulated != 2 || st.Cached != 0 {
+		t.Fatalf("cacheless run: %+v", st)
 	}
 }
 
@@ -207,7 +208,7 @@ func TestErrorAggregationKeepGoing(t *testing.T) {
 		{Key: "bad1", Spec: runspec.Spec{Scheme: "nope", Benchmark: "lbm", Cores: 1, OpsPerCore: 300}},
 		{Key: "bad2", Spec: runspec.Spec{Scheme: "nonsecure", Benchmark: "missing", Cores: 1, OpsPerCore: 300}},
 	}
-	res, st, err := Run(context.Background(), Options{KeepGoing: true}, jobs)
+	res, st, err := run(context.Background(), Options{KeepGoing: true}, jobs)
 	if err == nil {
 		t.Fatal("want aggregated error")
 	}
@@ -216,8 +217,8 @@ func TestErrorAggregationKeepGoing(t *testing.T) {
 			t.Errorf("error should name %s: %v", key, err)
 		}
 	}
-	if st.Failures != 2 || st.Simulated != 1 || st.Canceled != 0 {
-		t.Fatalf("stats: %s", st)
+	if st.Failed != 2 || st.Simulated != 1 || st.Canceled != 0 {
+		t.Fatalf("stats: %+v", st)
 	}
 	if _, ok := res["good"]; !ok || len(res) != 1 {
 		t.Fatalf("results = %v, want only the good job", res)
@@ -228,12 +229,12 @@ func TestCancelOnFirstFailure(t *testing.T) {
 	jobs := append([]Job{
 		{Key: "bad", Spec: runspec.Spec{Scheme: "nope", Benchmark: "lbm", Cores: 1, OpsPerCore: 300}},
 	}, tinyJobs(3)...)
-	_, st, err := Run(context.Background(), Options{Parallel: 1}, jobs)
+	_, st, err := run(context.Background(), Options{Parallel: 1}, jobs)
 	if err == nil {
 		t.Fatal("want error")
 	}
-	if st.Failures != 1 || st.Canceled != 3 {
-		t.Fatalf("first failure should cancel the queued remainder: %s", st)
+	if st.Failed != 1 || st.Canceled != 3 {
+		t.Fatalf("first failure should cancel the queued remainder: %+v", st)
 	}
 	if !strings.Contains(err.Error(), "canceled") {
 		t.Errorf("error should report canceled jobs: %v", err)
